@@ -498,8 +498,9 @@ fn main() {
 /// corridor venue: dense-vs-hierarchy accuracy parity and the ≥ 8×
 /// cell-eval reduction gate, 2/4-thread bit-identity, the seeded-tracking
 /// ≤ 10% budget with exact `engine.cells_evaluated` counter
-/// reconciliation, and (when `write_json`) the `BENCH_hierarchical.json`
-/// trajectory point for the obs_report trend gate. Every gate here is a
+/// reconciliation, a moving-tag timing (reported, not gated), and (when
+/// `write_json`) the `BENCH_hierarchical.json` trajectory point for the
+/// obs_report trend gate. Every gate here is a
 /// *cell-count or equality* verdict — deterministic in debug and release
 /// alike — so unlike the timing floors above, all of them are always
 /// enforced. Returns true when any gate failed.
@@ -689,6 +690,48 @@ fn hierarchical_baseline(iters: usize, write_json: bool) -> bool {
         failed = true;
     }
 
+    // -- Moving tag: the serving pattern `hier_warm` (one repeated
+    // sounding) cannot see. A tag walks the aisle 0.3 m per round and
+    // every round localizes a distinct sounding — a full-flow first fix,
+    // then seeded on the last fix — so each round's patches sit at fresh
+    // windows. Every timed pass walks its own path, so no pass replays an
+    // earlier one's windows; soundings are synthesized up front.
+    const WALK_ROUNDS: usize = 12;
+    let walks: Vec<Vec<_>> = (0..iters.max(1))
+        .map(|w| {
+            let mut pos = P2::new(2.5 + 1.4 * (w % 15) as f64, 2.0 + 0.45 * (w % 13) as f64);
+            (0..WALK_ROUNDS)
+                .map(|r| {
+                    let data = sounder.sound(pos, &all_data_channels(), &mut rng);
+                    pos += P2::new(0.3, if r % 2 == 0 { 0.06 } else { -0.04 });
+                    data
+                })
+                .collect()
+        })
+        .collect();
+    let cache = hier.localizer().engine().cache();
+    let builds_before = cache.misses();
+    let mut pass = 0;
+    let t_walk = time_best(walks.len(), || {
+        let mut seed: Option<P2> = None;
+        for data in &walks[pass] {
+            let est = match seed {
+                None => hier.localize(data),
+                Some(p) => hier.localize_seeded(data, p, 1.0),
+            }
+            .expect("moving-tag corridor fix");
+            seed = Some(est.estimate.position);
+        }
+        pass += 1;
+    });
+    let t_moving = t_walk / WALK_ROUNDS as f64;
+    let walk_builds = cache.misses() - builds_before;
+    println!(
+        "moving tag       {:>8.1} ms per fix ({WALK_ROUNDS}-round walks, best of {}), {walk_builds} steering-table builds",
+        t_moving * 1e3,
+        walks.len()
+    );
+
     // -- Trajectory point. `effective_cell_evals_per_sec` is the
     // dense-equivalent throughput (dense cells the fix replaces over the
     // hierarchy's wall time), so both a faster kernel and a smarter
@@ -699,7 +742,7 @@ fn hierarchical_baseline(iters: usize, write_json: bool) -> bool {
             .map(|p| p.get())
             .unwrap_or(1);
         let json = format!(
-            "{{\n  \"bench\": \"hierarchical_localize\",\n  \"venue\": \"corridor\",\n  \"grid\": {{\"nx\": {}, \"ny\": {}, \"cells\": {fine_cells}, \"resolution_m\": {}}},\n  \"coarse_cells\": {},\n  \"anchors\": {},\n  \"iters\": {iters},\n  \"host_threads\": {host_threads},\n  \"simd_level\": \"{}\",\n  \"parity_median_m\": {parity_median:.4},\n  \"reduction_median\": {reduction_median:.2},\n  \"tracking_worst_fraction\": {worst_fraction:.4},\n  \"dense_warm\": {{\"secs_per_localize\": {t_dense:.6}, \"cell_evals_per_sec\": {:.0}}},\n  \"hier_warm\": {{\"secs_per_localize\": {t_hier:.6}, \"effective_cell_evals_per_sec\": {:.0}}},\n  \"scaling_4_threads\": {scaling_4t:.2},\n  \"speedup_wall\": {:.2}\n}}\n",
+            "{{\n  \"bench\": \"hierarchical_localize\",\n  \"venue\": \"corridor\",\n  \"grid\": {{\"nx\": {}, \"ny\": {}, \"cells\": {fine_cells}, \"resolution_m\": {}}},\n  \"coarse_cells\": {},\n  \"anchors\": {},\n  \"iters\": {iters},\n  \"host_threads\": {host_threads},\n  \"simd_level\": \"{}\",\n  \"parity_median_m\": {parity_median:.4},\n  \"reduction_median\": {reduction_median:.2},\n  \"tracking_worst_fraction\": {worst_fraction:.4},\n  \"dense_warm\": {{\"secs_per_localize\": {t_dense:.6}, \"cell_evals_per_sec\": {:.0}}},\n  \"hier_warm\": {{\"secs_per_localize\": {t_hier:.6}, \"effective_cell_evals_per_sec\": {:.0}}},\n  \"hier_moving\": {{\"secs_per_fix\": {t_moving:.6}, \"rounds_per_walk\": {WALK_ROUNDS}, \"steering_builds\": {walk_builds}}},\n  \"scaling_4_threads\": {scaling_4t:.2},\n  \"speedup_wall\": {:.2}\n}}\n",
             config.grid.nx,
             config.grid.ny,
             config.grid.resolution,

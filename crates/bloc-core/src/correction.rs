@@ -49,7 +49,7 @@ use bloc_chan::sounder::{BandSounding, SoundingData};
 use bloc_chan::AnchorArray;
 use bloc_num::{C64, P2};
 
-use crate::error::LocalizeError;
+use crate::error::{BandFrequencyFault, LocalizeError};
 
 /// Corrected channels for one frequency band.
 #[derive(Debug, Clone, PartialEq)]
@@ -184,6 +184,30 @@ fn band_shape_ok(band: &BandSounding, anchors: &[AnchorArray]) -> bool {
             .all(|(row, a)| row.len() == a.n_antennas)
 }
 
+/// Checks every band's centre frequency before anything is planned on
+/// it: the comb planner and the slot-major channel layout assume finite,
+/// positive, pairwise distinct frequencies. Quadratic in the band count,
+/// which BLE caps at 37 — cheaper than any allocation.
+fn check_band_freqs(bands: &[BandSounding]) -> Result<(), LocalizeError> {
+    for (band, b) in bands.iter().enumerate() {
+        let f = b.freq_hz;
+        let fault = if !f.is_finite() {
+            Some(BandFrequencyFault::NonFinite)
+        } else if f <= 0.0 {
+            Some(BandFrequencyFault::NonPositive)
+        } else {
+            bands[..band]
+                .iter()
+                .position(|e| (e.freq_hz - f).abs() <= bloc_num::sweep::COMB_TOLERANCE_HZ)
+                .map(|of| BandFrequencyFault::Duplicate { of })
+        };
+        if let Some(fault) = fault {
+            return Err(LocalizeError::InvalidBandFrequency { band, fault });
+        }
+    }
+    Ok(())
+}
+
 /// Applies BLoc's offset cancellation to a sounding, masking measurement
 /// holes instead of propagating them.
 ///
@@ -196,7 +220,9 @@ fn band_shape_ok(band: &BandSounding, anchors: &[AnchorArray]) -> bool {
 /// # Errors
 ///
 /// [`LocalizeError::EmptySounding`] when the sounding has no bands and
-/// [`LocalizeError::NoAnchors`] when it has no anchors. A sounding whose
+/// [`LocalizeError::NoAnchors`] when it has no anchors;
+/// [`LocalizeError::InvalidBandFrequency`] when a band's `freq_hz` is
+/// non-finite, not positive, or duplicates another band's. A sounding whose
 /// bands are all *dropped by masking* is still `Ok` — with empty
 /// [`CorrectedChannels::bands`] and the full [`MaskingSummary`] — so
 /// callers can report what was absorbed before refusing to localize.
@@ -207,6 +233,7 @@ pub fn correct(data: &SoundingData, normalize: bool) -> Result<CorrectedChannels
     if data.bands.is_empty() {
         return Err(LocalizeError::EmptySounding);
     }
+    check_band_freqs(&data.bands)?;
     let anchors = data.anchors.clone();
     let master0 = anchors[0].antenna(0);
     let master_anchor_dist: Vec<f64> = anchors.iter().map(|a| a.antenna(0).dist(master0)).collect();

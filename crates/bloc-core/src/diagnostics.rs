@@ -55,8 +55,9 @@ pub enum SoundingIssue {
         /// Anchors present.
         count: usize,
     },
-    /// Duplicate sounding of the same channel (harmless but suspicious —
-    /// a hop-tracking bug upstream).
+    /// Duplicate sounding of the same channel (a hop-tracking bug
+    /// upstream). The gate only warns; localizing the sounding unrepaired
+    /// fails with [`crate::LocalizeError::InvalidBandFrequency`].
     DuplicateBand {
         /// The duplicated frequency index.
         freq_index: usize,

@@ -23,7 +23,9 @@
 //!    lane-padded layout, and [`SteeringCache`] memoizes the per-cell
 //!    relative distances `Δ_ij(x)` (Eq. 14) and their seed/step phasors
 //!    keyed by (grid, anchor geometry) — a deployment sounds thousands of
-//!    times against the same grid, and the geometry never changes.
+//!    times against the same grid, and the geometry never changes. A
+//!    sub-window of a grid ([`LikelihoodEngine::anchor_likelihood_window`],
+//!    the hierarchy's fine patches) reads that grid's tables in place.
 //! 3. **Coarse parallelism**: the joint likelihood fans out across
 //!    *anchors* and single-anchor maps across row *chunks*, both through
 //!    [`bloc_num::par`] with work-size thresholding
@@ -38,7 +40,7 @@ use std::sync::{Arc, Mutex};
 use bloc_chan::AnchorArray;
 use bloc_num::constants::SPEED_OF_LIGHT;
 use bloc_num::sweep::{self, CellSweep, Combine, OffCombSweep};
-use bloc_num::{Grid2D, GridSpec, C64, P2};
+use bloc_num::{Grid2D, GridPatch, GridSpec, C64, P2};
 
 use crate::correction::CorrectedChannels;
 use crate::likelihood::AntennaCombining;
@@ -391,6 +393,8 @@ struct CacheInner {
     tick: u64,
     /// Resident-byte ceiling; `None` (the default) never evicts.
     byte_budget: Option<usize>,
+    /// Lookups that had to build their tables.
+    misses: u64,
 }
 
 impl Default for SteeringCache {
@@ -475,6 +479,7 @@ impl SteeringCache {
             return Arc::clone(&hit.tables);
         }
         self.stats.miss();
+        inner.misses += 1;
         let built = Arc::new(SteeringTables::build(
             spec,
             anchors,
@@ -588,6 +593,13 @@ impl SteeringCache {
         removed
     }
 
+    /// Lookups on this cache (and its clones) that had to build their
+    /// tables — this cache's share of the process-wide
+    /// `cache.steering.misses` counter.
+    pub fn misses(&self) -> u64 {
+        self.inner.lock().unwrap_or_else(|e| e.into_inner()).misses
+    }
+
     /// Number of cached deployments.
     pub fn len(&self) -> usize {
         self.inner
@@ -613,6 +625,11 @@ pub struct KernelInputs<'a> {
     pub soa: &'a SoaChannels,
     /// The per-cell steering geometry.
     pub tables: &'a SteeringTables,
+    /// The index window of `tables.spec()` to evaluate —
+    /// [`GridPatch::whole`] for a full map, a patch for the hierarchy's
+    /// fine level. Maps are shaped like `window.spec` and read the tables
+    /// in place: a window needs no tables of its own.
+    pub window: GridPatch,
 }
 
 /// One interchangeable implementation of the Eq. 17 per-anchor map.
@@ -620,8 +637,9 @@ pub trait LikelihoodKernel: Send + Sync + std::fmt::Debug {
     /// A short name for reports and benchmarks.
     fn name(&self) -> &'static str;
 
-    /// Evaluates anchor `i`'s likelihood map over `inputs.tables.spec()`,
-    /// splitting rows across `threads`.
+    /// Evaluates anchor `i`'s likelihood map over `inputs.window` of
+    /// `inputs.tables.spec()`, splitting rows across `threads`. Every cell
+    /// must be bit-identical to the same parent cell of a full-grid map.
     fn anchor_map(
         &self,
         inputs: &KernelInputs<'_>,
@@ -650,8 +668,7 @@ impl LikelihoodKernel for ReferenceKernel {
         threads: usize,
     ) -> Grid2D {
         let corrected = inputs.corrected;
-        let spec = inputs.tables.spec();
-        Grid2D::from_fn_par(spec, threads, |x| {
+        Grid2D::from_fn_par_window(inputs.tables.spec(), inputs.window, threads, |x| {
             crate::likelihood::reference_cell_value(corrected, i, combining, x)
         })
     }
@@ -686,27 +703,48 @@ impl LikelihoodKernel for RecurrenceKernel {
     ) -> Grid2D {
         let soa = inputs.soa;
         let tables = inputs.tables;
-        let spec = tables.spec();
+        let parent = tables.spec();
+        let window = inputs.window;
         let uniform = soa.plan.is_uniform_comb();
         let combine = combine_of(combining);
+        let sweep_cells = |first_cell: usize, cells: &mut [f64]| {
+            if uniform {
+                // The cached seed/step phasors make this branch free of
+                // transcendentals: pure complex multiply-adds.
+                sweep::write_comb_cells(&tables.cell_sweep(soa, i), combine, first_cell, cells);
+            } else {
+                sweep::write_offcomb_cells(
+                    &tables.offcomb_sweep(soa, i),
+                    combine,
+                    first_cell,
+                    cells,
+                );
+            }
+        };
 
-        let mut out = Grid2D::zeros(spec);
+        let mut out = Grid2D::zeros(window.spec);
         let n_cells = out.data().len();
-        let nx = spec.nx.max(1);
+        let nx = window.spec.nx.max(1);
         let threads = bloc_num::par::tuned_threads(n_cells, threads, MIN_CELLS_PER_SHARD);
         let chunk = bloc_num::par::auto_chunk_len(n_cells, nx, threads);
+        // A window of whole parent rows (every full-grid map) is one
+        // contiguous cell range; any narrower window runs once per row.
+        let contiguous = window.spans_rows_of(&parent);
         bloc_num::par::for_each_chunk_mut_named(
             "likelihood",
             out.data_mut(),
             chunk,
             threads,
-            |start, row| {
-                if uniform {
-                    // The cached seed/step phasors make this branch free
-                    // of transcendentals: pure complex multiply-adds.
-                    sweep::write_comb_cells(&tables.cell_sweep(soa, i), combine, start, row);
+            |start, cells| {
+                // Chunks are whole window rows (`auto_chunk_len` unit).
+                debug_assert_eq!(start % nx, 0);
+                let row0 = start / nx;
+                if contiguous {
+                    sweep_cells(window.parent_row_start(&parent, row0), cells);
                 } else {
-                    sweep::write_offcomb_cells(&tables.offcomb_sweep(soa, i), combine, start, row);
+                    for (r, row) in cells.chunks_mut(nx).enumerate() {
+                        sweep_cells(window.parent_row_start(&parent, row0 + r), row);
+                    }
                 }
             },
         );
@@ -814,6 +852,33 @@ impl LikelihoodEngine {
         spec: GridSpec,
         combining: AntennaCombining,
     ) -> Grid2D {
+        self.anchor_likelihood_window(corrected, i, spec, GridPatch::whole(spec), combining)
+    }
+
+    /// [`Self::anchor_likelihood`] over one index window of `spec` (a
+    /// [`GridSpec::patch`]). The map is shaped like `window.spec`, and
+    /// every cell is bit-identical to the same cell of the full `spec`
+    /// map: the kernel reads `spec`'s cached steering tables in place, so
+    /// any number of windows share the one table per (grid, comb, anchor
+    /// set).
+    ///
+    /// # Panics
+    ///
+    /// When `window` does not lie inside `spec`.
+    pub fn anchor_likelihood_window(
+        &self,
+        corrected: &CorrectedChannels,
+        i: usize,
+        spec: GridSpec,
+        window: GridPatch,
+        combining: AntennaCombining,
+    ) -> Grid2D {
+        // A window hanging off the right edge would silently wrap into the
+        // next row's cells rather than fail a slice bound.
+        assert!(
+            window.x0 + window.spec.nx <= spec.nx && window.y0 + window.spec.ny <= spec.ny,
+            "window must lie inside the grid"
+        );
         let soa = self.soa_for(corrected);
         let tables = self.cache.tables(
             spec,
@@ -826,10 +891,11 @@ impl LikelihoodEngine {
             corrected,
             soa: &soa,
             tables: &tables,
+            window,
         };
         let map = self.kernel.anchor_map(&inputs, i, combining, self.threads);
         self.release_soa(soa);
-        bloc_obs::counter("engine.cells_evaluated").add(spec.len() as u64);
+        bloc_obs::counter("engine.cells_evaluated").add(window.spec.len() as u64);
         map
     }
 
@@ -862,6 +928,7 @@ impl LikelihoodEngine {
             corrected,
             soa: &soa,
             tables: &tables,
+            window: GridPatch::whole(spec),
         };
         let n = corrected.n_anchors();
         // Only anchors with surviving evidence get maps (the weighting

@@ -43,6 +43,42 @@ pub enum LocalizeError {
     },
     /// The joint likelihood had no extractable peak.
     NoPeak,
+    /// A band's centre frequency cannot be placed on the sounding's
+    /// frequency comb, so the whole sounding is refused rather than
+    /// mis-stitched.
+    InvalidBandFrequency {
+        /// Index of the offending band in the sounding.
+        band: usize,
+        /// What is wrong with its frequency.
+        fault: BandFrequencyFault,
+    },
+}
+
+/// Why a band's `freq_hz` was refused
+/// ([`LocalizeError::InvalidBandFrequency`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+pub enum BandFrequencyFault {
+    /// NaN or infinite.
+    NonFinite,
+    /// Zero or negative.
+    NonPositive,
+    /// Within [`bloc_num::sweep::COMB_TOLERANCE_HZ`] of an earlier band:
+    /// both would claim one comb slot.
+    Duplicate {
+        /// Index of the earlier band.
+        of: usize,
+    },
+}
+
+impl fmt::Display for BandFrequencyFault {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Self::NonFinite => write!(f, "not finite"),
+            Self::NonPositive => write!(f, "not positive"),
+            Self::Duplicate { of } => write!(f, "a duplicate of band {of}"),
+        }
+    }
 }
 
 impl fmt::Display for LocalizeError {
@@ -59,6 +95,9 @@ impl fmt::Display for LocalizeError {
                 "only {usable} of {total} anchors have surviving measurements (need 2)"
             ),
             Self::NoPeak => write!(f, "joint likelihood has no extractable peak"),
+            Self::InvalidBandFrequency { band, fault } => {
+                write!(f, "band {band} frequency is {fault}")
+            }
         }
     }
 }
@@ -75,6 +114,7 @@ impl LocalizeError {
             Self::NoUsableBands { .. } => "no_usable_bands",
             Self::TooFewUsableAnchors { .. } => "too_few_usable_anchors",
             Self::NoPeak => "no_peak",
+            Self::InvalidBandFrequency { .. } => "invalid_band_frequency",
         }
     }
 }
@@ -252,6 +292,10 @@ mod tests {
                 total: 4,
             },
             LocalizeError::NoPeak,
+            LocalizeError::InvalidBandFrequency {
+                band: 3,
+                fault: BandFrequencyFault::Duplicate { of: 1 },
+            },
         ];
         let mut reasons = std::collections::HashSet::new();
         for v in &variants {

@@ -23,14 +23,15 @@
 //!    round pays coarse-grid — not fine-grid — prior evaluation.
 //! 2. **Fine** — an index-aligned patch of the native grid around each
 //!    candidate, sized so a true peak's dominance neighborhood *and*
-//!    entropy window fit inside. Patch joints are normalized by the
-//!    per-anchor **coarse** maxima (the dense normalizer is unknowable
-//!    without a dense sweep; the coarse maximum is its lobe-scale
-//!    estimate, and using one shared constant per anchor keeps every
-//!    patch on a single comparable scale). The §5.4 multipath score
-//!    (Eq. 18) runs only here, at the finest level, against venue-global
-//!    statistics — candidates from different patches rank exactly as one
-//!    dense profile would rank them.
+//!    entropy window fit inside, and evaluated as a window into the fine
+//!    grid's own cached steering tables (no per-patch tables). Patch
+//!    joints are normalized by the per-anchor **coarse** maxima (the
+//!    dense normalizer is unknowable without a dense sweep; the coarse
+//!    maximum is its lobe-scale estimate, and using one shared constant
+//!    per anchor keeps every patch on a single comparable scale). The
+//!    §5.4 multipath score (Eq. 18) runs only here, at the finest level,
+//!    against venue-global statistics — candidates from different patches
+//!    rank exactly as one dense profile would rank them.
 //!
 //! Chosen positions are snapped to parent-grid cell centres, so when the
 //! hierarchical and dense solvers agree on the winning cell the reported
@@ -84,10 +85,12 @@ pub struct HierarchicalConfig {
     /// escapes to the full coarse→fine flow instead (the hierarchy is
     /// already cheaper at that size).
     pub seed_escape_fraction: f64,
-    /// Resident-byte budget installed on the engine's steering cache (the
-    /// hierarchy caches one geometry per level plus one per distinct
-    /// patch window; LRU eviction keeps long-running fleets bounded).
-    /// `None` leaves the cache unbounded.
+    /// Resident-byte budget installed on the engine's steering cache.
+    /// The hierarchy caches one geometry per (level, comb, anchor set);
+    /// fine patches read the fine level's tables in place and add none.
+    /// Each new comb or anchor subset costs one venue-sized build, and
+    /// LRU eviction keeps long-running fleets bounded. `None` leaves the
+    /// cache unbounded.
     pub cache_budget_bytes: Option<usize>,
 }
 
@@ -348,7 +351,7 @@ impl HierarchicalLocalizer {
         // Patch-local normalization: exactly the weighted-joint contract
         // evaluated on the patch spec, so a seeded fix equals a dense fix
         // whose grid *is* the patch.
-        let joint = self.level_joint(&corrected, patch.spec, &alive, false, &mut cells);
+        let joint = self.level_joint(&corrected, &patch, &alive, false, &mut cells);
         let Some((ax, ay, max_v)) = joint.argmax() else {
             return self.escape_to_full(data, &corrected, EscapeReason::NoLocalPeak, cells);
         };
@@ -558,7 +561,7 @@ impl HierarchicalLocalizer {
         let mut patches: Vec<(GridPatch, Grid2D)> = Vec::with_capacity(candidates.len());
         for c in &candidates {
             let patch = fine.patch(c.position, half);
-            let joint = self.level_joint(corrected, patch.spec, &alive, true, &mut cells);
+            let joint = self.level_joint(corrected, &patch, &alive, true, &mut cells);
             patches.push((patch, joint));
         }
         bloc_obs::counter("hier.candidates").add(patches.len() as u64);
@@ -631,26 +634,31 @@ impl HierarchicalLocalizer {
         })
     }
 
-    /// The weighted joint on one level's spec. With `coarse_norms`, each
-    /// alive anchor's map is scaled by `weight / coarse_max` (the shared
+    /// The weighted joint over one fine-grid patch, each anchor's map read
+    /// in place from the fine grid's cached steering tables (a patch
+    /// builds no tables of its own). With `coarse_norms`, each alive
+    /// anchor's map is scaled by `weight / coarse_max` (the shared
     /// cross-patch normalization); without, by `weight / patch_max`
-    /// (exactly [`crate::likelihood::weighted_joint`] on this spec).
+    /// (exactly [`crate::likelihood::weighted_joint`] on the patch).
     fn level_joint(
         &self,
         corrected: &CorrectedChannels,
-        spec: GridSpec,
+        patch: &GridPatch,
         alive: &[AliveAnchor],
         coarse_norms: bool,
         cells: &mut usize,
     ) -> Grid2D {
         let cfg = self.localizer.config();
-        let mut joint = Grid2D::zeros(spec);
+        let mut joint = Grid2D::zeros(patch.spec);
         for a in alive {
-            let mut map =
-                self.localizer
-                    .engine()
-                    .anchor_likelihood(corrected, a.index, spec, cfg.combining);
-            *cells += spec.len();
+            let mut map = self.localizer.engine().anchor_likelihood_window(
+                corrected,
+                a.index,
+                cfg.grid,
+                *patch,
+                cfg.combining,
+            );
+            *cells += patch.spec.len();
             if coarse_norms {
                 if a.coarse_max > 0.0 {
                     map.scale(1.0 / a.coarse_max);
@@ -931,5 +939,39 @@ mod tests {
                 .unwrap_err(),
             LocalizeError::EmptySounding
         );
+    }
+
+    #[test]
+    fn bad_band_frequencies_are_typed_errors_at_every_entry_point() {
+        use crate::error::BandFrequencyFault;
+        let (room, anchors, env) = room_setup(true);
+        let sounder = mk_sounder(&env, &anchors);
+        let dense = BlocLocalizer::new(BlocConfig::for_room(&room));
+        let hier = HierarchicalLocalizer::new(dense.clone(), HierarchicalConfig::default());
+        let mut rng = StdRng::seed_from_u64(57);
+        let healthy = sounder.sound(P2::new(2.0, 3.0), &all_data_channels(), &mut rng);
+
+        let mut nan = healthy.clone();
+        nan.bands[5].freq_hz = f64::NAN;
+        let mut zero = healthy.clone();
+        zero.bands[9].freq_hz = 0.0;
+        let mut dup = healthy.clone();
+        let again = dup.bands[2].clone();
+        dup.bands.push(again);
+        let last = dup.bands.len() - 1;
+        for (data, band, fault) in [
+            (&nan, 5, BandFrequencyFault::NonFinite),
+            (&zero, 9, BandFrequencyFault::NonPositive),
+            (&dup, last, BandFrequencyFault::Duplicate { of: 2 }),
+        ] {
+            let want = LocalizeError::InvalidBandFrequency { band, fault };
+            assert_eq!(dense.localize(data).unwrap_err(), want);
+            assert_eq!(hier.localize(data).unwrap_err(), want);
+            assert_eq!(
+                hier.localize_seeded(data, P2::new(2.0, 3.0), 0.5)
+                    .unwrap_err(),
+                want
+            );
+        }
     }
 }

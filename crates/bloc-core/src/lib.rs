@@ -88,7 +88,7 @@ pub mod multipath;
 pub mod runtime;
 pub mod tracker;
 
-pub use error::{DeferReason, DegradationReport, LocalizeError};
+pub use error::{BandFrequencyFault, DeferReason, DegradationReport, LocalizeError};
 pub use fallback::{
     EstimateMode, FallbackConfig, FallbackError, FallbackStack, FingerprintDb, FusionPolicy,
     FusionWeights, PacketCountModel,

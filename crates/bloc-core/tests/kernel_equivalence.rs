@@ -13,9 +13,10 @@ use bloc_chan::{AnchorArray, AnchorDropout, Environment, FaultPlan};
 use bloc_core::correction::{correct, CorrectedChannels};
 use bloc_core::engine::{BandPlan, LikelihoodEngine, SoaChannels};
 use bloc_core::likelihood::{
-    anchor_likelihood_reference, joint_likelihood, joint_likelihood_reference, AntennaCombining,
+    anchor_likelihood_reference, joint_likelihood, joint_likelihood_reference,
+    reference_cell_value, AntennaCombining,
 };
-use bloc_num::{Grid2D, GridSpec, P2};
+use bloc_num::{Grid2D, GridPatch, GridSpec, P2};
 use rand::{rngs::StdRng, SeedableRng};
 
 fn anchors(room: &Room) -> Vec<AnchorArray> {
@@ -435,4 +436,143 @@ fn freq_comb_and_band_plan_share_one_comb_implementation() {
     assert_eq!(replanned.freqs, via_engine.freqs);
     assert_eq!(replanned.step_hz, via_engine.step_hz);
     assert_eq!(replanned.gaps, via_engine.gaps);
+}
+
+/// The windows a hierarchy can ask for on `spec`: interior (one large
+/// enough to shard across threads), clamped to a border, a 1×1, a band
+/// of whole rows, and the whole grid.
+fn windows(spec: GridSpec) -> Vec<(&'static str, GridPatch)> {
+    let rows = GridPatch {
+        spec: GridSpec {
+            origin: P2::new(spec.origin.x, spec.origin.y + 7.0 * spec.resolution),
+            ny: 9,
+            ..spec
+        },
+        x0: 0,
+        y0: 7,
+    };
+    vec![
+        (
+            "interior",
+            spec.patch(spec.cell_center(spec.nx / 2, spec.ny / 3), 1.1),
+        ),
+        (
+            "large_interior",
+            spec.patch(spec.cell_center(spec.nx / 2, spec.ny / 2), 2.4),
+        ),
+        ("left_clamped", spec.patch(P2::new(-40.0, 2.5), 0.9)),
+        ("top_right_clamped", spec.patch(P2::new(40.0, 40.0), 0.7)),
+        (
+            "one_cell",
+            spec.patch(spec.cell_center(5, spec.ny - 4), 0.0),
+        ),
+        ("whole_rows", rows),
+        ("whole_grid", GridPatch::whole(spec)),
+    ]
+}
+
+fn bits(g: &Grid2D) -> Vec<u64> {
+    g.data().iter().map(|v| v.to_bits()).collect()
+}
+
+#[test]
+fn window_maps_are_the_dense_map_restricted_bit_for_bit() {
+    // A hierarchy patch reads the full grid's steering tables in place:
+    // every window cell must be the very same bits as that parent cell
+    // of the dense map — on the gapless comb, on a sparse sub-comb left
+    // by a FaultPlan (gap walk, compact layout), on an off-comb band set
+    // (per-band `cis` fallback), and for every engine thread count.
+    // 120×140 cells: the whole grid shards 4 ways, the large interior
+    // window 2 ways (`MIN_CELLS_PER_SHARD` is 4096).
+    let spec = GridSpec::covering(P2::new(-0.5, -0.5), P2::new(6.0, 7.0), 0.05);
+    let uniform = corrected_for(&Environment::free_space(), P2::new(2.1, 3.4), 1200, None);
+    let sub_comb = corrected_for(
+        &Environment::free_space(),
+        P2::new(3.3, 1.6),
+        1201,
+        Some(FaultPlan {
+            seed: 21,
+            tag_loss: 0.2,
+            dropouts: vec![AnchorDropout {
+                anchor: 0,
+                bands: 3..24,
+            }],
+            ..Default::default()
+        }),
+    );
+    let mut off_comb = corrected_for(&Environment::free_space(), P2::new(1.2, 4.7), 1202, None);
+    off_comb.bands[4].freq_hz += 0.7e6;
+    for (case, corrected) in [
+        ("uniform", &uniform),
+        ("fault_sub_comb", &sub_comb),
+        ("off_comb", &off_comb),
+    ] {
+        let plan = SoaChannels::build(corrected).plan;
+        assert_eq!(plan.is_uniform_comb(), case != "off_comb", "{case}");
+        let combining = AntennaCombining::default();
+        let dense: Vec<Grid2D> = (0..corrected.n_anchors())
+            .map(|i| {
+                LikelihoodEngine::recurrence().anchor_likelihood(corrected, i, spec, combining)
+            })
+            .collect();
+        for threads in [1, 2, 4] {
+            let engine = LikelihoodEngine::recurrence().with_threads(threads);
+            for (name, window) in windows(spec) {
+                for (i, full) in dense.iter().enumerate() {
+                    let map =
+                        engine.anchor_likelihood_window(corrected, i, spec, window, combining);
+                    let expect = full.extract(&window);
+                    assert_eq!(map.spec(), window.spec, "{case} {name}");
+                    assert_eq!(
+                        bits(&map),
+                        bits(&expect),
+                        "{case} {name} anchor {i} threads {threads}"
+                    );
+                }
+            }
+            // One steering table per grid, however many windows ran.
+            assert_eq!(engine.cache().len(), 1, "{case} threads {threads}");
+        }
+    }
+}
+
+#[test]
+fn reference_kernel_windows_evaluate_parent_cell_centres() {
+    // The reference kernel's window cells are the reference values at
+    // the *parent* cell centres — bit for bit, and therefore equal to the
+    // dense reference map restricted to the window.
+    let spec = GridSpec::covering(P2::new(-0.5, -0.5), P2::new(6.0, 7.0), 0.2);
+    let corrected = corrected_for(&Environment::free_space(), P2::new(2.6, 2.2), 1300, None);
+    let combining = AntennaCombining::default();
+    for threads in [1, 2, 4] {
+        let engine = LikelihoodEngine::reference().with_threads(threads);
+        for (name, window) in windows(spec) {
+            for i in 0..corrected.n_anchors() {
+                let map = engine.anchor_likelihood_window(&corrected, i, spec, window, combining);
+                assert_eq!(map.spec(), window.spec);
+                for iy in 0..window.spec.ny {
+                    for ix in 0..window.spec.nx {
+                        let (px, py) = window.to_parent(ix, iy);
+                        let want = reference_cell_value(
+                            &corrected,
+                            i,
+                            combining,
+                            spec.cell_center(px, py),
+                        );
+                        assert_eq!(
+                            map.get(ix, iy).to_bits(),
+                            want.to_bits(),
+                            "{name} anchor {i} cell ({ix},{iy}) threads {threads}"
+                        );
+                    }
+                }
+                let dense = anchor_likelihood_reference(&corrected, i, spec, combining);
+                assert_eq!(
+                    bits(&map),
+                    bits(&dense.extract(&window)),
+                    "{name} anchor {i}"
+                );
+            }
+        }
+    }
 }

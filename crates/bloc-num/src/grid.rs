@@ -158,6 +158,26 @@ pub struct GridPatch {
 }
 
 impl GridPatch {
+    /// The window covering all of `spec` — what a full-grid evaluation
+    /// passes where a patch would go.
+    pub fn whole(spec: GridSpec) -> Self {
+        Self { spec, x0: 0, y0: 0 }
+    }
+
+    /// True when the window's rows are whole rows of `parent`, so its
+    /// cells sit contiguously in `parent`'s row-major order.
+    #[inline]
+    pub fn spans_rows_of(&self, parent: &GridSpec) -> bool {
+        self.x0 == 0 && self.spec.nx == parent.nx
+    }
+
+    /// Flat `parent` index of the first cell of patch row `iy`.
+    #[inline]
+    pub fn parent_row_start(&self, parent: &GridSpec, iy: usize) -> usize {
+        debug_assert!(iy < self.spec.ny && self.x0 + self.spec.nx <= parent.nx);
+        (iy + self.y0) * parent.nx + self.x0
+    }
+
     /// Maps patch-local cell `(ix, iy)` to the parent grid's indices.
     #[inline]
     pub fn to_parent(&self, ix: usize, iy: usize) -> (usize, usize) {
@@ -241,8 +261,21 @@ impl Grid2D {
     /// large grids hand each worker a few coarse pieces instead of one
     /// row at a time.
     pub fn from_fn_par(spec: GridSpec, threads: usize, f: impl Fn(P2) -> f64 + Sync) -> Self {
-        let mut g = Self::zeros(spec);
-        let nx = spec.nx.max(1);
+        Self::from_fn_par_window(spec, GridPatch::whole(spec), threads, f)
+    }
+
+    /// [`Self::from_fn_par`] over one window of `parent`: the result is
+    /// shaped like `window.spec`, and cell `(ix, iy)` holds `f` at the
+    /// **parent** cell centre `(ix + x0, iy + y0)` — bit-identical to the
+    /// same cell of a full-`parent` fill.
+    pub fn from_fn_par_window(
+        parent: GridSpec,
+        window: GridPatch,
+        threads: usize,
+        f: impl Fn(P2) -> f64 + Sync,
+    ) -> Self {
+        let mut g = Self::zeros(window.spec);
+        let nx = window.spec.nx.max(1);
         // A cell evaluation is ~a few hundred ns worst case; 4096 cells
         // per shard keeps the spawn cost under a percent.
         let threads = crate::par::tuned_threads(g.data.len(), threads, 4096);
@@ -255,7 +288,7 @@ impl Grid2D {
             |start, row| {
                 for (off, v) in row.iter_mut().enumerate() {
                     let idx = start + off;
-                    *v = f(spec.cell_center(idx % nx, idx / nx));
+                    *v = f(parent.cell_center(window.x0 + idx % nx, window.y0 + idx / nx));
                 }
             },
         );
@@ -695,6 +728,32 @@ mod tests {
                 assert_eq!(sub.get(ix, iy), g.get(px, py));
             }
         }
+    }
+
+    #[test]
+    fn window_fill_reads_parent_cell_centres() {
+        let s = GridSpec {
+            origin: P2::new(-0.7, 0.3),
+            resolution: 0.13,
+            nx: 23,
+            ny: 17,
+        };
+        let f = |p: P2| p.x * 7.0 + p.y;
+        let full = Grid2D::from_fn_par(s, 1, f);
+        let interior = s.patch(s.cell_center(11, 8), 0.5);
+        for w in [
+            interior,
+            s.patch(P2::new(-9.0, 9.0), 0.3),
+            GridPatch::whole(s),
+        ] {
+            // Bit-equal to the full fill restricted to the window.
+            assert_eq!(Grid2D::from_fn_par_window(s, w, 2, f), full.extract(&w));
+            for iy in 0..w.spec.ny {
+                assert_eq!(w.parent_row_start(&s, iy), s.flat(w.x0, w.y0 + iy));
+            }
+        }
+        assert!(GridPatch::whole(s).spans_rows_of(&s));
+        assert!(!interior.spans_rows_of(&s));
     }
 
     proptest! {

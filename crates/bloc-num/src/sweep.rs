@@ -391,6 +391,7 @@ pub struct OffCombSweep<'a> {
 /// Evaluates the off-comb per-band-`cis` fallback over a cell range with
 /// the same combining semantics as [`write_comb_cells`]. Scalar on every
 /// dispatch level (the transcendental dominates, not the arithmetic).
+/// Allocation-free, so callers may invoke it once per short row.
 pub fn write_offcomb_cells(
     s: &OffCombSweep<'_>,
     combine: Combine,
@@ -399,25 +400,22 @@ pub fn write_offcomb_cells(
 ) {
     let nl = s.n_lanes;
     debug_assert!(s.alpha_re.len() >= s.freqs.len() * nl);
-    let mut acc = vec![complex::ZERO; nl];
     for (k, v) in out.iter_mut().enumerate() {
         let cell = first_cell + k;
         let deltas = &s.delta[cell * nl..(cell + 1) * nl];
-        for a in acc.iter_mut() {
-            *a = complex::ZERO;
-        }
-        for (slot, &f) in s.freqs.iter().enumerate() {
-            let row = slot * nl;
-            for (j, &d) in deltas.iter().enumerate() {
-                let a = C64::new(s.alpha_re[row + j], s.alpha_im[row + j]);
-                acc[j] += a * C64::cis(s.phase_per_hz * d * f);
-            }
-        }
         let mut coh = complex::ZERO;
         let mut non = 0.0;
-        for &a in &acc {
-            coh += a;
-            non += (a.re * a.re + a.im * a.im).sqrt();
+        for (j, &d) in deltas.iter().enumerate() {
+            // Each lane's band sum is independent, so summing lane by
+            // lane keeps every addition in band order.
+            let mut acc = complex::ZERO;
+            for (slot, &f) in s.freqs.iter().enumerate() {
+                let row = slot * nl;
+                let a = C64::new(s.alpha_re[row + j], s.alpha_im[row + j]);
+                acc += a * C64::cis(s.phase_per_hz * d * f);
+            }
+            coh += acc;
+            non += (acc.re * acc.re + acc.im * acc.im).sqrt();
         }
         *v = combine_value(combine, coh.re, coh.im, non);
     }

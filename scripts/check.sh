@@ -73,6 +73,11 @@ if [[ "${1:-}" != "quick" ]]; then
     run cargo run --release -q -p bloc-bench --bin obs_report
 fi
 run cargo test -q
+# Benchmark self-test: builds the standalone e2ebench package against
+# this tree's crates and runs its tests, so an engine API change that
+# breaks the benchmark's kernel wrapper (or its replay/digest checks)
+# fails the gate instead of the next benchmark run.
+run python3 e2ebench/run.py --selftest
 # Scalar-fallback leg: BLOC_NO_SIMD=1 forces the portable kernel at
 # dispatch, and the equivalence suites re-verify the sweep core, the
 # likelihood engine and the synthesizer through it. The results are

@@ -285,3 +285,45 @@ fn seeded_rounds_stay_below_a_tenth_of_dense() {
         pos += P2::new(0.3, 0.05);
     }
 }
+
+#[test]
+fn walking_rounds_build_no_steering_tables_after_the_first_fix() {
+    // Every fine patch is a window into the fine grid's own steering
+    // tables, so once the first full-flow fix has built the coarse and
+    // fine tables, a walk of seeded and full-flow rounds at fresh
+    // positions is all cache hits: no build, and nothing new resident.
+    let s = Scenario::corridor(23);
+    let config = s.bloc_config().with_resolution(0.16);
+    let (_, hier) = pair(config, 1);
+    let cache = hier.localizer().engine().cache();
+    let sounder = s.sounder(SounderConfig::default());
+    let mut rng = StdRng::seed_from_u64(31);
+
+    let mut pos = P2::new(4.0, 3.0);
+    let first = hier
+        .localize(&sounder.sound(pos, &all_data_channels(), &mut rng))
+        .expect("first fix");
+    assert!(
+        first.candidates_refined > 0,
+        "first fix must refine patches"
+    );
+    assert_eq!(cache.len(), 2, "fine + coarse tables after the first fix");
+    let misses = cache.misses();
+    let mut last = first.estimate.position;
+    for round in 0..8 {
+        pos += P2::new(2.9, if round % 2 == 0 { 1.7 } else { -1.3 });
+        let data = sounder.sound(pos, &all_data_channels(), &mut rng);
+        let fix = if round % 3 == 2 {
+            hier.localize(&data).expect("full-flow fix")
+        } else {
+            hier.localize_seeded(&data, last, 1.0).expect("seeded fix")
+        };
+        assert_eq!(
+            cache.misses(),
+            misses,
+            "round {round} at {pos} built steering tables"
+        );
+        assert_eq!(cache.len(), 2, "round {round}: resident entries");
+        last = fix.estimate.position;
+    }
+}
