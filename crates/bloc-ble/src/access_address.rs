@@ -15,7 +15,6 @@ pub const ADVERTISING_AA: u32 = 0x8E89_BED6;
 
 /// A validated access address.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct AccessAddress(u32);
 
 impl AccessAddress {

@@ -25,7 +25,6 @@ pub mod ad_type {
 
 /// One AD structure: a type code and its data.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct AdStructure {
     /// AD type code.
     pub ad_type: u8,
@@ -87,7 +86,6 @@ pub fn encode_ad(structures: &[AdStructure]) -> Result<Vec<u8>, BleError> {
 
 /// A recognized beacon frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Beacon {
     /// Apple iBeacon: 16-byte proximity UUID + major/minor + calibrated
     /// TX power at 1 m (dBm).

@@ -21,7 +21,6 @@ use bloc_num::constants::{BLE_CHANNEL_WIDTH_HZ, BLE_NUM_CHANNELS, BLE_NUM_DATA_C
 
 /// A BLE channel, identified by its link-layer index (0..=39).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Channel(u8);
 
 impl Channel {
@@ -113,7 +112,6 @@ impl Channel {
 ///
 /// Stored as a 37-bit mask over link-layer data channel indices.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ChannelMap {
     mask: u64,
 }

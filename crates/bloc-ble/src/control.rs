@@ -14,7 +14,6 @@ use crate::pdu::{DataPdu, Llid};
 
 /// A link-layer control PDU (the subset this stack implements).
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum ControlPdu {
     /// `LL_CHANNEL_MAP_IND`: switch to `map` at connection event `instant`.
     ChannelMapInd {

@@ -17,7 +17,6 @@ const N: u64 = BLE_NUM_DATA_CHANNELS as u64;
 
 /// Validated hop increment (spec range 5..=16).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct HopIncrement(u8);
 
 impl HopIncrement {
@@ -39,7 +38,6 @@ impl HopIncrement {
 /// The hop state of one connection: produces the data channel used for each
 /// successive connection event (channel-selection algorithm #1).
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct HopSequence {
     hop: HopIncrement,
     map: ChannelMap,

@@ -19,7 +19,6 @@ use rand::Rng;
 
 /// Link-layer role of a device.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Role {
     /// Connection initiator (BLoc's master anchor).
     Master,
@@ -29,7 +28,6 @@ pub enum Role {
 
 /// Link-layer state (spec §4.5 state machine, the subset BLoc exercises).
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum LinkState {
     /// Not transmitting or receiving.
     Standby,
@@ -53,7 +51,6 @@ pub enum LinkState {
 
 /// A device's link layer.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct LinkLayer {
     /// This device's address.
     pub address: DeviceAddress,
@@ -236,7 +233,6 @@ impl LinkLayer {
 
 /// Parameters the initiator chooses for a connection.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ConnectionParams {
     /// Connection interval in 1.25 ms units (7.5 ms .. 4 s per spec).
     pub interval_units: u16,
@@ -266,7 +262,6 @@ impl ConnectionParams {
 /// on it (master → slave, then slave → master — the two transmissions
 /// BLoc's anchors measure CSI from, paper §5.2).
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ConnectionEvent {
     /// Event counter value (0-based).
     pub event: u64,
@@ -280,7 +275,6 @@ pub struct ConnectionEvent {
 
 /// An established connection (either party's view, or a follower's).
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Connection {
     /// Link data from the CONNECT_IND.
     pub params: ConnectInd,

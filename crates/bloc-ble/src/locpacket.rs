@@ -33,7 +33,6 @@ pub const SETTLE_BITS: usize = 2;
 /// A contiguous run of equal bits inside the payload, in payload-bit
 /// coordinates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Run {
     /// First payload bit of the run.
     pub start: usize,
@@ -86,7 +85,6 @@ pub fn find_runs(bits: &[bool], min_run: usize) -> Vec<Run> {
 /// A localization packet: the frame plus the metadata the CSI extractor
 /// needs (where the stable tone windows are, in on-air bit coordinates).
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct LocalizationPacket {
     /// The fully-framed packet (pre-whitened payload already applied).
     pub frame: Frame,

@@ -13,7 +13,6 @@ use crate::whitening::Whitener;
 
 /// A fully-framed BLE packet ready for modulation.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Frame {
     /// Sync word of the frame.
     pub access_address: AccessAddress,

@@ -20,7 +20,6 @@ use crate::hopping::HopIncrement;
 
 /// A 48-bit Bluetooth device address.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DeviceAddress(pub [u8; 6]);
 
 impl DeviceAddress {
@@ -32,7 +31,6 @@ impl DeviceAddress {
 
 /// Advertising PDU types (the subset BLoc's deployment uses).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum AdvPduType {
     /// Connectable undirected advertising — what an off-the-shelf BLE tag
     /// broadcasts.
@@ -78,7 +76,6 @@ impl AdvPduType {
 
 /// An advertising-channel PDU.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct AdvPdu {
     /// PDU type.
     pub pdu_type: AdvPduType,
@@ -153,7 +150,6 @@ impl AdvPdu {
 
 /// LLID values of data-channel PDUs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Llid {
     /// Continuation fragment of an L2CAP message (or empty PDU).
     DataContinuation,
@@ -187,7 +183,6 @@ impl Llid {
 
 /// A data-channel PDU.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DataPdu {
     /// Logical link ID.
     pub llid: Llid,
@@ -259,7 +254,6 @@ impl DataPdu {
 /// The link data carried by a `CONNECT_IND` PDU: everything both sides (and
 /// BLoc's overhearing anchors) need to follow the connection.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ConnectInd {
     /// Access address of the new connection.
     pub access_address: AccessAddress,

@@ -19,7 +19,6 @@ pub fn half_wavelength_spacing() -> f64 {
 
 /// A uniform linear antenna array (one BLoc anchor).
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct AnchorArray {
     /// Anchor identifier (its index in the deployment).
     pub id: usize,

@@ -51,7 +51,6 @@ impl std::error::Error for EnvironmentError {}
 
 /// A resolved propagation path between two points.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Path {
     /// Geometric length, metres.
     pub length: f64,
@@ -75,7 +74,6 @@ impl Path {
 /// might actually be stronger than the line-of-sight path because of
 /// obstructions", §1).
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Obstruction {
     /// The blocking segment.
     pub blocker: Segment,
@@ -85,7 +83,6 @@ pub struct Obstruction {
 
 /// A static propagation environment.
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Environment {
     /// Optional bounding room; its walls become reflectors when added via
     /// [`Environment::with_walls`].
@@ -95,7 +92,6 @@ pub struct Environment {
     second_order: bool,
     /// Snapshot identity for path-geometry caching; bumped by every
     /// mutation, excluded from equality and serialization.
-    #[cfg_attr(feature = "serde", serde(skip, default = "next_revision"))]
     revision: u64,
 }
 

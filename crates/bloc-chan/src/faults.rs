@@ -37,7 +37,6 @@ use std::ops::Range;
 /// measurement while it is out — a crashed reporting daemon or a backhaul
 /// partition.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct AnchorDropout {
     /// The anchor that goes dark.
     pub anchor: usize,
@@ -50,7 +49,6 @@ pub struct AnchorDropout {
 /// Fig. 11 regime). Measurements on affected channels survive but carry
 /// heavy additive noise.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct InterferenceBurst {
     /// Lowest affected BLE frequency index (0–39).
     pub freq_lo: u8,
@@ -82,7 +80,6 @@ impl InterferenceBurst {
 /// predict it — use [`FaultPlan::census_at`] with the true tag position
 /// for exact reconciliation.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RangeLoss {
     /// Reference distance (m) below which range adds no loss.
     pub d0: f64,
@@ -108,7 +105,6 @@ impl RangeLoss {
 /// A deterministic, seedable fault schedule applied to every sounding a
 /// [`crate::sounder::Sounder`] produces.
 #[derive(Debug, Clone, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FaultPlan {
     /// Seed for all probabilistic decisions. Reseeding (see
     /// [`FaultPlan::with_seed`]) yields an independent fault draw with the
@@ -142,7 +138,6 @@ pub struct FaultPlan {
 /// What one plan application actually injected, by kind. Counts are in
 /// *measurements* (matrix entries), except where noted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FaultCensus {
     /// Zeroed tag→anchor measurements (all hole causes combined, each
     /// entry counted once even when several faults overlap on it).
@@ -529,7 +524,6 @@ pub(crate) fn link_distances(anchors: &[AnchorArray], tag: P2) -> Vec<f64> {
 /// packets are exactly-zero by convention), so this tally reconciles
 /// exactly with [`FaultPlan::predict_reception`].
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ReceptionCensus {
     /// Band slots sounded (the per-anchor expectation).
     pub expected: usize,

@@ -7,7 +7,6 @@ use bloc_num::P2;
 
 /// A line segment (a wall face or reflector face).
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Segment {
     /// One endpoint.
     pub a: P2,
@@ -88,7 +87,6 @@ impl Segment {
 /// An axis-aligned rectangular room with its lower-left corner at the
 /// origin (the paper's 5 m × 6 m VICON room is `Room::new(5.0, 6.0)`).
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Room {
     /// Extent along x, metres.
     pub width: f64,

@@ -10,7 +10,6 @@
 
 /// Reflection behaviour of a surface.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Material {
     /// Total reflection loss, dB (energy not returned at all).
     pub reflection_loss_db: f64,

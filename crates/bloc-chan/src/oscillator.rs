@@ -16,7 +16,6 @@
 use rand::Rng;
 /// A device identifier in the deployment: the tag or one of the anchors.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Device {
     /// The target BLE tag.
     Tag,
@@ -27,7 +26,6 @@ pub enum Device {
 /// The phase offsets of every device for one tuning epoch (one frequency
 /// hop). Regenerated on every retune.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TuningEpoch {
     tag_phase: f64,
     anchor_phases: Vec<f64>,

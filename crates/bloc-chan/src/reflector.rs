@@ -20,7 +20,6 @@ use rand::Rng;
 
 /// One propagation sub-path contributed by a reflector (or by LOS).
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SubPath {
     /// Total geometric length, metres.
     pub length: f64,
@@ -32,7 +31,6 @@ pub struct SubPath {
 
 /// A scattering reflector in the environment.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Reflector {
     /// The reflecting face.
     pub face: Segment,
@@ -42,7 +40,6 @@ pub struct Reflector {
 }
 
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 struct Scatterer {
     /// Position on (or near) the face.
     pos: P2,

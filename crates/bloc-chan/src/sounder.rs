@@ -37,7 +37,6 @@ use rand::{Rng, SeedableRng};
 
 /// How channels are measured.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Fidelity {
     /// Direct synthesis from the path model (fast).
     Analytic,
@@ -58,7 +57,6 @@ pub const TONE_INTERVAL_S: f64 = 16e-6;
 
 /// Sounder configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SounderConfig {
     /// Per-measurement CSI SNR, dB (noise relative to each link's own
     /// signal power). BLE tags are low-power transmitters; 10–15 dB
@@ -117,7 +115,6 @@ impl Default for SounderConfig {
 
 /// All channel measurements for one frequency band (one hop).
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BandSounding {
     /// The BLE channel sounded.
     pub channel: Channel,
@@ -153,7 +150,6 @@ impl BandSounding {
 /// A complete multi-band sounding of one tag position: the input to the
 /// localization pipeline.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SoundingData {
     /// Per-band measurements, in sounding (hop) order.
     pub bands: Vec<BandSounding>,

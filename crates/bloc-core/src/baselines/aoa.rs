@@ -30,7 +30,6 @@ use bloc_num::{C64, P2};
 
 /// How the baseline chooses the direct path among spectrum peaks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum PeakSelection {
     /// Paper-faithful "least ToF": rank candidate peaks by the intra-band
     /// tone-pair pseudo-ToF.
@@ -42,7 +41,6 @@ pub enum PeakSelection {
 
 /// Configuration of the AoA baseline.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct AoaConfig {
     /// Number of grid points across `sin θ ∈ [−1, 1]`.
     pub n_angles: usize,
@@ -64,7 +62,6 @@ impl Default for AoaConfig {
 
 /// One anchor's angle estimate.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Bearing {
     /// The anchor that produced it.
     pub anchor_id: usize,

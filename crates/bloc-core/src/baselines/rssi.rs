@@ -17,7 +17,6 @@ use bloc_num::P2;
 
 /// Configuration of the RSSI baseline.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RssiConfig {
     /// Path-loss exponent `n` (2 = free space; 2.5–4 indoors).
     pub path_loss_exponent: f64,

@@ -53,7 +53,6 @@ use crate::error::{BandFrequencyFault, LocalizeError};
 
 /// Corrected channels for one frequency band.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CorrectedBand {
     /// Band centre frequency, hertz.
     pub freq_hz: f64,
@@ -64,7 +63,6 @@ pub struct CorrectedBand {
 
 /// What the masking pass discarded while correcting one sounding.
 #[derive(Debug, Clone, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MaskingSummary {
     /// Bands in the input sounding.
     pub bands_total: usize,
@@ -85,7 +83,6 @@ pub struct MaskingSummary {
 /// The full corrected-channel tensor plus the geometry needed to interpret
 /// it.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CorrectedChannels {
     /// Per-band corrected channels for the bands that survived masking,
     /// in sounding order.

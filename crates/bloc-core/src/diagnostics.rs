@@ -21,7 +21,6 @@ use bloc_obs::{Event, Registry};
 
 /// One problem found in a sounding.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum SoundingIssue {
     /// No bands at all.
     Empty,
@@ -104,7 +103,6 @@ impl SoundingIssue {
 
 /// One concrete repair the gate prescribes for a damaged sounding.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum RepairAction {
     /// Zero one tag→anchor measurement (and its guard tones), turning a
     /// poisoned value into the hole convention the correction stage masks.
@@ -134,7 +132,6 @@ pub enum RepairAction {
 /// issues. Produced by [`inspect`] alongside the verdict; consumed by
 /// [`RepairPlan::apply`].
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RepairPlan {
     /// Actions in scan order.
     pub actions: Vec<RepairAction>,
@@ -202,7 +199,6 @@ impl RepairPlan {
 
 /// The diagnostic report for one sounding.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SoundingReport {
     /// Problems found, roughly ordered by severity.
     pub issues: Vec<SoundingIssue>,

@@ -18,7 +18,6 @@ use std::fmt;
 /// problems — programmer errors (impossible shapes built in code) still
 /// panic.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum LocalizeError {
     /// The sounding carried no bands at all.
     EmptySounding,
@@ -57,7 +56,6 @@ pub enum LocalizeError {
 /// Why a band's `freq_hz` was refused
 /// ([`LocalizeError::InvalidBandFrequency`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum BandFrequencyFault {
     /// NaN or infinite.
     NonFinite,
@@ -125,7 +123,6 @@ impl LocalizeError {
 /// round should be retried later, against [`LocalizeError`] which reports
 /// a localize that was attempted and produced nothing.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum DeferReason {
     /// Too few anchors were admitted (live and not quarantined by the
     /// circuit breaker) to meet the quorum policy.
@@ -208,7 +205,6 @@ impl DeferReason {
 /// that a fix produced under degraded conditions *is* degraded, and by how
 /// much.
 #[derive(Debug, Clone, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DegradationReport {
     /// Bands in the input sounding.
     pub bands_total: usize,

@@ -33,7 +33,6 @@ const AMP_FLOOR: f64 = 1e-12;
 /// An offline-surveyed fingerprint database: one feature row (flat
 /// `bands × anchors`, band-major) per surveyed position.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FingerprintDb {
     n_bands: usize,
     n_anchors: usize,

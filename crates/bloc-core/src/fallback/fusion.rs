@@ -14,7 +14,6 @@ use crate::error::DegradationReport;
 
 /// How fusion weights are derived from round health.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FusionPolicy {
     /// Health at or above this snaps to pure CSI (`csi = 1.0` exactly).
     pub healthy_threshold: f64,
@@ -34,7 +33,6 @@ impl Default for FusionPolicy {
 
 /// A convex weighting of the three spatial evidence sources.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FusionWeights {
     /// Weight on the CSI joint likelihood (Eq. 17).
     pub csi: f64,

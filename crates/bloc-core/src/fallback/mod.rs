@@ -43,7 +43,6 @@ use bloc_num::{Grid2D, GridSpec, P2};
 /// *evidence* problems, typed so the runtime can distinguish "fallback
 /// has nothing to work with" from programmer error.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum FallbackError {
     /// The fingerprint database has no surveyed positions.
     EmptyDatabase,
@@ -99,7 +98,6 @@ impl FallbackError {
 /// Which evidence produced an estimate — the provenance every degraded
 /// fix must carry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum EstimateMode {
     /// Pure CSI joint likelihood (healthy round).
     Csi,
@@ -128,7 +126,6 @@ impl EstimateMode {
 
 /// Policy knobs for the fallback stack.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FallbackConfig {
     /// Neighbours per KNN query.
     pub k: usize,
@@ -282,13 +279,7 @@ impl FallbackStack {
             (None, Some(_)) => EstimateMode::Counts,
             (None, None) => return Err(FallbackError::NoEstimator),
         };
-        let mut parts: Vec<(&Grid2D, f64)> = Vec::new();
-        if let Some((bump, _)) = &fp {
-            parts.push((bump, weights.fingerprint));
-        }
-        if let Some(c) = &counts {
-            parts.push((&c.likelihood, weights.counts));
-        }
+        let parts = weighted_priors(&fp, &counts, &weights);
         let mut fused = fusion::fuse_mass(&parts).ok_or(FallbackError::NoEstimator)?;
         fused.normalize_mass();
         let (ix, iy, _) = fused.argmax().ok_or(FallbackError::NoEstimator)?;
@@ -305,4 +296,22 @@ impl FallbackStack {
             counts_anchors: counts.as_ref().map(|c| c.anchors_used),
         })
     }
+}
+
+/// The prior surfaces [`FallbackStack::priors`] produced, each paired
+/// with its fusion weight, in fusion order (fingerprint bump, then
+/// packet-count likelihood).
+pub(crate) fn weighted_priors<'a>(
+    fp: &'a Option<(Grid2D, KnnEstimate)>,
+    counts: &'a Option<CountsEstimate>,
+    weights: &FusionWeights,
+) -> Vec<(&'a Grid2D, f64)> {
+    let mut priors: Vec<(&Grid2D, f64)> = Vec::with_capacity(2);
+    if let Some((bump, _)) = fp {
+        priors.push((bump, weights.fingerprint));
+    }
+    if let Some(c) = counts {
+        priors.push((&c.likelihood, weights.counts));
+    }
+    priors
 }

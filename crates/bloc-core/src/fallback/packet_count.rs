@@ -34,7 +34,6 @@ const P_CLAMP: f64 = 1e-4;
 /// is the estimator's calibrated belief about the channel's loss physics,
 /// exactly as a fielded system would calibrate path-loss coefficients.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PacketCountModel {
     /// Distance-independent loss floor (interference, collisions).
     pub base_loss: f64,

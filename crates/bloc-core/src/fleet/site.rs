@@ -23,7 +23,6 @@ use super::tag::TagSlot;
 
 /// Fleet-wide site identity (dense, assigned at [`super::FleetSupervisor::add_site`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SiteId(pub usize);
 
 impl fmt::Display for SiteId {

@@ -19,7 +19,6 @@ use crate::runtime::{BreakerState, RoundOutcome, SessionSupervisor};
 
 /// Fleet-wide tag identity (assigned at registration, never reused).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TagId(pub u64);
 
 impl fmt::Display for TagId {
@@ -30,7 +29,6 @@ impl fmt::Display for TagId {
 
 /// Why the fleet declined to run a tag's supervised round this batch.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum ShedReason {
     /// The tag's site had more runnable tags than its admission capacity;
     /// admission is oldest-first, so the newest registrations shed first.

@@ -18,9 +18,11 @@
 //!    fine grid), assembled into the weighted joint under exactly the
 //!    dense-pipeline contract. Non-maximum suppression over this surface
 //!    picks up to [`HierarchicalConfig::max_candidates`] candidate lobes.
-//!    Degraded-mode fallback priors (fingerprint / packet-count) enter
-//!    *here*, fused into the candidate-selection surface, so a degraded
-//!    round pays coarse-grid — not fine-grid — prior evaluation.
+//!    No fallback prior enters candidate selection: a supervised session
+//!    refines a degraded hierarchical fix on the estimate's own surface
+//!    (this coarse selection surface on full-flow rounds, the fine patch
+//!    on seeded rounds) under the same fusion policy as
+//!    [`crate::localizer::BlocLocalizer::localize_with_fallback`].
 //! 2. **Fine** — an index-aligned patch of the native grid around each
 //!    candidate, sized so a true peak's dominance neighborhood *and*
 //!    entropy window fit inside, and evaluated as a window into the fine
@@ -37,7 +39,8 @@
 //! hierarchical and dense solvers agree on the winning cell the reported
 //! positions are **bit-identical**. When refinement loses every candidate
 //! (pathological surfaces), the solver escapes to the full dense sweep
-//! rather than degrade accuracy — see [`EscapeReason`].
+//! rather than degrade accuracy — see [`EscapeReason`]. Dense escapes
+//! run the dense pipeline's own fix assembly.
 //!
 //! [`HierarchicalLocalizer::localize_seeded`] is the tracking fast path:
 //! one fine patch around the tracker's prediction, no coarse sweep at
@@ -55,14 +58,12 @@ use bloc_num::{Grid2D, GridPatch, GridSpec, P2};
 
 use crate::correction::CorrectedChannels;
 use crate::error::LocalizeError;
-use crate::fallback::{fusion, EstimateMode, FallbackStack, FusionWeights};
 use crate::likelihood::anchor_weights;
 use crate::localizer::{BlocLocalizer, Estimate};
-use crate::multipath::{record_scored, score_candidates, score_peaks, ScoredPeak};
+use crate::multipath::{record_scored, score_candidates, ScoredPeak};
 
 /// Configuration of the coarse-to-fine hierarchy.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct HierarchicalConfig {
     /// Coarsening factor of the candidate-selection grid (6 → 48 cm cells
     /// over the default 8 cm fine grid, matching the ~0.5 m lobe scale).
@@ -111,7 +112,6 @@ impl Default for HierarchicalConfig {
 /// Why the hierarchy stepped off its fast path. Every variant is counted
 /// under `hier.escape.<reason>`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum EscapeReason {
     /// The fine grid is at most [`HierarchicalConfig::small_grid_cells`]:
     /// localized densely.
@@ -128,9 +128,6 @@ pub enum EscapeReason {
     /// Fine refinement lost every candidate; the full dense sweep ran as
     /// a correctness safety net.
     DenseFallback,
-    /// CSI failed outright and the estimate came from the fallback stack
-    /// alone (coarse-grid surfaces, no fine refinement).
-    FallbackOnly,
 }
 
 impl EscapeReason {
@@ -142,7 +139,6 @@ impl EscapeReason {
             EscapeReason::NoLocalPeak => "no_local_peak",
             EscapeReason::PeakAtBoundary => "peak_at_boundary",
             EscapeReason::DenseFallback => "dense_fallback",
-            EscapeReason::FallbackOnly => "fallback_only",
         }
     }
 }
@@ -154,7 +150,6 @@ fn record_escape(reason: EscapeReason) {
         EscapeReason::NoLocalPeak => "hier.escape.no_local_peak",
         EscapeReason::PeakAtBoundary => "hier.escape.peak_at_boundary",
         EscapeReason::DenseFallback => "hier.escape.dense_fallback",
-        EscapeReason::FallbackOnly => "hier.escape.fallback_only",
     };
     bloc_obs::counter(name).inc();
 }
@@ -163,8 +158,8 @@ fn record_escape(reason: EscapeReason) {
 ///
 /// `estimate.peaks` are indexed on the **fine** grid (positions snapped
 /// to fine cell centres); `estimate.likelihood` is the candidate-selection
-/// surface (coarse, possibly prior-fused) for the full flow, or the fine
-/// patch surface for the seeded fast path.
+/// surface (coarse) for the full flow, or the fine patch surface for the
+/// seeded fast path.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HierarchicalEstimate {
     /// The fix itself, shaped exactly like a dense-pipeline estimate.
@@ -192,18 +187,6 @@ impl HierarchicalEstimate {
             self.dense_cells_evaluated as f64 / self.cells_evaluated as f64
         }
     }
-}
-
-/// A hierarchical fix with degraded-mode provenance — the hierarchy's
-/// counterpart of [`crate::localizer::FusedFix`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct HierarchicalFusedFix {
-    /// The fix and its cost accounting.
-    pub fix: HierarchicalEstimate,
-    /// Which evidence produced it.
-    pub mode: EstimateMode,
-    /// The convex weights actually used.
-    pub weights: FusionWeights,
 }
 
 /// An alive anchor's weight and coarse-level normalizer.
@@ -298,7 +281,7 @@ impl HierarchicalLocalizer {
             record_escape(EscapeReason::SmallGrid);
             return self.dense_estimate(data, &corrected, EscapeReason::SmallGrid, 0);
         }
-        self.refine_full(data, &corrected, &[], 1.0)
+        self.refine_full(data, &corrected)
     }
 
     /// Tracking fast path: one fine patch of half-extent `radius_m`
@@ -380,15 +363,13 @@ impl HierarchicalLocalizer {
             return self.escape_to_full(data, &corrected, EscapeReason::NoLocalPeak, cells);
         };
         record_scored(&scored);
-        let mut est = Estimate {
-            position: best.peak.position,
-            peaks: scored,
-            likelihood: joint,
-            degradation: BlocLocalizer::degradation_of(&corrected),
-        };
-        est.degradation.confidence = est.confidence();
         Ok(HierarchicalEstimate {
-            estimate: est,
+            estimate: Estimate::new(
+                best.peak.position,
+                scored,
+                joint,
+                BlocLocalizer::degradation_of(&corrected),
+            ),
             cells_evaluated: cells,
             dense_cells_evaluated: fine.len() * alive.len(),
             candidates_refined: 1,
@@ -397,110 +378,11 @@ impl HierarchicalLocalizer {
         })
     }
 
-    /// Degradation-aware hierarchical localization — the hierarchy's
-    /// counterpart of [`BlocLocalizer::localize_with_fallback`], with
-    /// every fallback surface evaluated on the **coarse** grid: priors
-    /// steer candidate *selection* (then fine refinement proceeds as
-    /// usual), and a CSI-outage fix is synthesized at coarse resolution.
-    /// A healthy round short-circuits to the pure hierarchical estimate.
-    ///
-    /// # Errors
-    ///
-    /// The original [`LocalizeError`] when CSI failed *and* no fallback
-    /// estimator could produce anything either.
-    pub fn localize_with_fallback(
-        &self,
-        data: &SoundingData,
-        stack: &FallbackStack,
-        open_frac: f64,
-    ) -> Result<HierarchicalFusedFix, LocalizeError> {
-        match self.localize(data) {
-            Ok(h) => {
-                let weights = FusionWeights::from_degradation(
-                    &h.estimate.degradation,
-                    open_frac,
-                    &stack.config.policy,
-                );
-                if weights.csi >= 1.0 || !stack.has_estimators() {
-                    return Ok(HierarchicalFusedFix {
-                        fix: h,
-                        mode: EstimateMode::Csi,
-                        weights: FusionWeights::pure_csi(),
-                    });
-                }
-                let (fp, counts) = stack.priors(data, self.coarse);
-                let weights = weights.restrict(true, fp.is_some(), counts.is_some());
-                if weights.csi >= 1.0 {
-                    return Ok(HierarchicalFusedFix {
-                        fix: h,
-                        mode: EstimateMode::Csi,
-                        weights,
-                    });
-                }
-                let mut priors: Vec<(&Grid2D, f64)> = Vec::new();
-                if let Some((bump, _)) = &fp {
-                    priors.push((bump, weights.fingerprint));
-                }
-                if let Some(c) = &counts {
-                    priors.push((&c.likelihood, weights.counts));
-                }
-                let Ok(corrected) = self.localizer.correct(data) else {
-                    // Corrected a moment ago; a disagreeing re-run means
-                    // the pure-CSI fix is the best we have.
-                    return Ok(HierarchicalFusedFix {
-                        fix: h,
-                        mode: EstimateMode::Csi,
-                        weights,
-                    });
-                };
-                match self.refine_full(data, &corrected, &priors, weights.csi) {
-                    Ok(mut fused) => {
-                        fused.cells_evaluated += h.cells_evaluated;
-                        Ok(HierarchicalFusedFix {
-                            fix: fused,
-                            mode: EstimateMode::CsiFused,
-                            weights,
-                        })
-                    }
-                    // A prior must never turn a fix into a no-fix.
-                    Err(_) => Ok(HierarchicalFusedFix {
-                        fix: h,
-                        mode: EstimateMode::Csi,
-                        weights,
-                    }),
-                }
-            }
-            Err(csi_err) => {
-                let Ok(fb) = stack.estimate(data, self.coarse) else {
-                    return Err(csi_err);
-                };
-                record_escape(EscapeReason::FallbackOnly);
-                let estimate = self.localizer.estimate_from_fallback(data, &fb);
-                Ok(HierarchicalFusedFix {
-                    fix: HierarchicalEstimate {
-                        estimate,
-                        cells_evaluated: 0,
-                        dense_cells_evaluated: 0,
-                        candidates_refined: 0,
-                        seeded: false,
-                        escape: Some(EscapeReason::FallbackOnly),
-                    },
-                    mode: fb.mode,
-                    weights: fb.weights,
-                })
-            }
-        }
-    }
-
-    /// The full coarse→fine flow on already-corrected channels. `priors`
-    /// (with `csi_weight`) fuse into the candidate-selection surface;
-    /// pass `&[]` for pure CSI.
+    /// The full coarse→fine flow on already-corrected channels.
     fn refine_full(
         &self,
         data: &SoundingData,
         corrected: &CorrectedChannels,
-        priors: &[(&Grid2D, f64)],
-        csi_weight: f64,
     ) -> Result<HierarchicalEstimate, LocalizeError> {
         let cfg = self.localizer.config();
         let fine = cfg.grid;
@@ -533,18 +415,9 @@ impl HierarchicalLocalizer {
         }
         let dense_cells = fine.len() * alive.len();
 
-        // Candidate selection surface: the coarse joint, with fallback
-        // priors (if any) blended in mass-normalized convex combination.
-        let select: Grid2D = if priors.is_empty() {
-            coarse_joint.clone()
-        } else {
-            let mut parts: Vec<(&Grid2D, f64)> = Vec::with_capacity(priors.len() + 1);
-            parts.push((&coarse_joint, csi_weight));
-            parts.extend_from_slice(priors);
-            fusion::fuse_mass(&parts).unwrap_or_else(|| coarse_joint.clone())
-        };
+        // Candidate selection on the coarse joint.
         let candidates = find_peaks(
-            &select,
+            &coarse_joint,
             &PeakOptions {
                 dominance_radius: self.config.coarse_dominance_radius,
                 min_rel_height: self.config.coarse_min_rel_height,
@@ -617,15 +490,13 @@ impl HierarchicalLocalizer {
             return self.dense_estimate(data, corrected, EscapeReason::DenseFallback, cells);
         };
         record_scored(&merged);
-        let mut est = Estimate {
-            position: best.peak.position,
-            peaks: merged,
-            likelihood: select,
-            degradation: BlocLocalizer::degradation_of(corrected),
-        };
-        est.degradation.confidence = est.confidence();
         Ok(HierarchicalEstimate {
-            estimate: est,
+            estimate: Estimate::new(
+                best.peak.position,
+                merged,
+                coarse_joint,
+                BlocLocalizer::degradation_of(corrected),
+            ),
             cells_evaluated: cells,
             dense_cells_evaluated: dense_cells,
             candidates_refined: patches.len(),
@@ -683,7 +554,7 @@ impl HierarchicalLocalizer {
         prespent: usize,
     ) -> Result<HierarchicalEstimate, LocalizeError> {
         record_escape(reason);
-        let mut h = self.refine_full(data, corrected, &[], 1.0)?;
+        let mut h = self.refine_full(data, corrected)?;
         h.cells_evaluated += prespent;
         h.seeded = true;
         h.escape = Some(reason);
@@ -699,30 +570,14 @@ impl HierarchicalLocalizer {
         escape: EscapeReason,
         prespent: usize,
     ) -> Result<HierarchicalEstimate, LocalizeError> {
-        let cfg = self.localizer.config();
-        let grid = self
-            .localizer
-            .engine()
-            .joint_likelihood(corrected, cfg.grid, cfg.combining);
+        let estimate = self.localizer.dense_fix(data, corrected)?;
         let n_alive = anchor_weights(corrected)
             .iter()
             .filter(|&&w| w > 0.0)
             .count();
-        let dense_cells = cfg.grid.len() * n_alive;
-        let anchor_refs: Vec<P2> = data.anchors.iter().map(|a| a.center()).collect();
-        let peaks = score_peaks(&grid, &anchor_refs, &cfg.score);
-        let Some(best) = peaks.first() else {
-            return Err(LocalizeError::NoPeak);
-        };
-        let mut est = Estimate {
-            position: best.peak.position,
-            peaks: peaks.clone(),
-            likelihood: grid,
-            degradation: BlocLocalizer::degradation_of(corrected),
-        };
-        est.degradation.confidence = est.confidence();
+        let dense_cells = self.localizer.config().grid.len() * n_alive;
         Ok(HierarchicalEstimate {
-            estimate: est,
+            estimate,
             cells_evaluated: prespent + dense_cells,
             dense_cells_evaluated: dense_cells,
             candidates_refined: 0,

@@ -98,8 +98,7 @@ pub use fleet::{
     SiteSpec, SiteTransition, TagId, TagRound, TagRoundOutcome, TagTransition,
 };
 pub use hierarchical::{
-    EscapeReason, HierarchicalConfig, HierarchicalEstimate, HierarchicalFusedFix,
-    HierarchicalLocalizer,
+    EscapeReason, HierarchicalConfig, HierarchicalEstimate, HierarchicalLocalizer,
 };
 pub use localizer::{BlocConfig, BlocLocalizer, Estimate};
 pub use runtime::{

@@ -23,7 +23,6 @@ use crate::correction::CorrectedChannels;
 
 /// How antennas combine inside the per-anchor likelihood.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum AntennaCombining {
     /// Eq. 17 verbatim: antennas and bands sum coherently. Maximum
     /// resolution, but static per-antenna phase-calibration error

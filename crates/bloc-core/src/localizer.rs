@@ -19,13 +19,12 @@ use bloc_num::{Grid2D, GridSpec, P2};
 use crate::correction::{correct, CorrectedChannels};
 use crate::engine::LikelihoodEngine;
 use crate::error::{DegradationReport, LocalizeError};
-use crate::fallback::{fusion, EstimateMode, FallbackStack, FusionWeights};
+use crate::fallback::{self, fusion, EstimateMode, FallbackStack, FusionWeights};
 use crate::likelihood::AntennaCombining;
 use crate::multipath::{score_peaks, ScoreConfig, ScoredPeak};
 
 /// End-to-end pipeline configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BlocConfig {
     /// The spatial grid the likelihood is evaluated on.
     pub grid: GridSpec,
@@ -80,7 +79,6 @@ impl BlocConfig {
 
 /// A localization estimate with its full evidence trail.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Estimate {
     /// The chosen tag position.
     pub position: P2,
@@ -106,12 +104,37 @@ pub struct FusedFix {
 }
 
 impl Estimate {
+    /// Assembles a fix on `likelihood` at the decider's pick `position`
+    /// (the best of `peaks` for every decider that scores peaks; `peaks`
+    /// is empty for one that does not), with the degradation report's
+    /// confidence filled in from the peak margin.
+    pub(crate) fn new(
+        position: P2,
+        peaks: Vec<ScoredPeak>,
+        likelihood: Grid2D,
+        degradation: DegradationReport,
+    ) -> Self {
+        let mut est = Self {
+            position,
+            peaks,
+            likelihood,
+            degradation,
+        };
+        est.degradation.confidence = est.confidence();
+        est
+    }
+
     /// A confidence proxy in `[0, 1]`: the score margin of the chosen peak
     /// over the runner-up, `1 − s₂/s₁`. Near 0 means two locations were
     /// almost equally plausible (deep multipath ambiguity); near 1 means
     /// the chosen peak dominated. A single-peak profile is fully
     /// confident. Returns 0 when produced by a decider that keeps no peak
-    /// list (`localize_shortest_distance` / `localize_argmax`).
+    /// list (`localize_shortest_distance` / `localize_argmax`). The margin
+    /// is read off the peaks of the surface the fix was finally scored on:
+    /// after fallback-prior refinement that is the fused surface — for a
+    /// full-flow hierarchical fix, the 48 cm coarse selection surface,
+    /// for a seeded one the fine patch — and for a fallback-only fix the
+    /// fallback surface.
     pub fn confidence(&self) -> f64 {
         match self.peaks.as_slice() {
             [] => 0.0,
@@ -172,16 +195,6 @@ impl BlocLocalizer {
     pub fn correct(&self, data: &SoundingData) -> Result<CorrectedChannels, LocalizeError> {
         let _span = bloc_obs::span("correct");
         correct(data, self.config.normalize_alpha)
-    }
-
-    /// Computes the joint likelihood map only.
-    ///
-    /// # Errors
-    ///
-    /// See [`crate::correction::correct`].
-    pub fn likelihood(&self, data: &SoundingData) -> Result<Grid2D, LocalizeError> {
-        let corrected = self.correct(data)?;
-        Ok(self.joint_likelihood_timed(&corrected))
     }
 
     /// The likelihood stage under its span, with its work counters.
@@ -276,21 +289,30 @@ impl BlocLocalizer {
         let corrected = self.correct(data)?;
         Self::record_recovered(&corrected);
         Self::check_usable(&corrected)?;
-        let degradation = Self::degradation_of(&corrected);
-        let grid = self.joint_likelihood_timed(&corrected);
+        self.dense_fix(data, &corrected)
+    }
+
+    /// The dense fix from already-corrected channels: the joint
+    /// likelihood on the full grid, then Eq. 18 peak scoring. Shared with
+    /// the hierarchy's dense escapes, so an escape runs this pipeline's
+    /// own code.
+    pub(crate) fn dense_fix(
+        &self,
+        data: &SoundingData,
+        corrected: &CorrectedChannels,
+    ) -> Result<Estimate, LocalizeError> {
+        let grid = self.joint_likelihood_timed(corrected);
         let anchor_refs: Vec<P2> = data.anchors.iter().map(|a| a.center()).collect();
         let peaks = score_peaks(&grid, &anchor_refs, &self.config.score);
-        if peaks.is_empty() {
+        let Some(best) = peaks.first() else {
             return Err(LocalizeError::NoPeak);
-        }
-        let mut est = Estimate {
-            position: peaks[0].peak.position,
-            peaks,
-            likelihood: grid,
-            degradation,
         };
-        est.degradation.confidence = est.confidence();
-        Ok(est)
+        Ok(Estimate::new(
+            best.peak.position,
+            peaks,
+            grid,
+            Self::degradation_of(corrected),
+        ))
     }
 
     /// Multi-burst localization: fuses several soundings of the *same*
@@ -379,17 +401,10 @@ impl BlocLocalizer {
             });
         }
         let peaks = score_peaks(&grid, &anchor_refs, &self.config.score);
-        if peaks.is_empty() {
+        let Some(best) = peaks.first() else {
             return Err(LocalizeError::NoPeak);
-        }
-        let mut est = Estimate {
-            position: peaks[0].peak.position,
-            peaks,
-            likelihood: grid,
-            degradation,
         };
-        est.degradation.confidence = est.confidence();
-        Ok(est)
+        Ok(Estimate::new(best.peak.position, peaks, grid, degradation))
     }
 
     /// Blends an estimate's CSI likelihood with fallback prior surfaces
@@ -412,17 +427,10 @@ impl BlocLocalizer {
             return est;
         };
         let peaks = score_peaks(&fused, anchor_refs, &self.config.score);
-        if peaks.is_empty() {
+        let Some(best) = peaks.first() else {
             return est;
-        }
-        let mut out = Estimate {
-            position: peaks[0].peak.position,
-            peaks,
-            likelihood: fused,
-            degradation: est.degradation,
         };
-        out.degradation.confidence = out.confidence();
-        out
+        Estimate::new(best.peak.position, peaks, fused, est.degradation)
     }
 
     /// Degradation-aware localization: runs the CSI pipeline, derives
@@ -433,7 +441,8 @@ impl BlocLocalizer {
     /// pure-CSI estimate (weights snap to `csi = 1`). When CSI fails
     /// outright, the stack's fallback-only estimate is dressed as an
     /// [`Estimate`] (synthetic degradation report counting the sounding's
-    /// holes) so downstream consumers see one shape.
+    /// holes) so downstream consumers see one shape. The supervised
+    /// runtime refines its fixes under the same policy.
     ///
     /// # Errors
     ///
@@ -446,43 +455,7 @@ impl BlocLocalizer {
         open_frac: f64,
     ) -> Result<FusedFix, LocalizeError> {
         match self.localize(data) {
-            Ok(est) => {
-                let weights = FusionWeights::from_degradation(
-                    &est.degradation,
-                    open_frac,
-                    &stack.config.policy,
-                );
-                if weights.csi >= 1.0 || !stack.has_estimators() {
-                    return Ok(FusedFix {
-                        estimate: est,
-                        mode: EstimateMode::Csi,
-                        weights: FusionWeights::pure_csi(),
-                    });
-                }
-                let (fp, counts) = stack.priors(data, self.config.grid);
-                let weights = weights.restrict(true, fp.is_some(), counts.is_some());
-                if weights.csi >= 1.0 {
-                    return Ok(FusedFix {
-                        estimate: est,
-                        mode: EstimateMode::Csi,
-                        weights,
-                    });
-                }
-                let mut priors: Vec<(&Grid2D, f64)> = Vec::new();
-                if let Some((bump, _)) = &fp {
-                    priors.push((bump, weights.fingerprint));
-                }
-                if let Some(c) = &counts {
-                    priors.push((&c.likelihood, weights.counts));
-                }
-                let anchor_refs: Vec<P2> = data.anchors.iter().map(|a| a.center()).collect();
-                let refined = self.refine_with_priors(est, &priors, weights.csi, &anchor_refs);
-                Ok(FusedFix {
-                    estimate: refined,
-                    mode: EstimateMode::CsiFused,
-                    weights,
-                })
-            }
+            Ok(est) => Ok(self.fuse_fallback(est, data, data, stack, open_frac)),
             Err(csi_err) => {
                 let Ok(fb) = stack.estimate(data, self.config.grid) else {
                     return Err(csi_err);
@@ -493,6 +466,51 @@ impl BlocLocalizer {
                     weights: fb.weights,
                 })
             }
+        }
+    }
+
+    /// The fallback-fusion policy of [`Self::localize_with_fallback`] for
+    /// a CSI fix `est` made from `data`, shared with the supervised
+    /// runtime. A healthy round (or a stack with no estimator) keeps the
+    /// *identical* pure-CSI estimate. Otherwise the stack's priors are
+    /// evaluated against `prior_basis` on the estimate's own likelihood
+    /// spec (the fine grid for a dense fix, the coarse selection surface
+    /// or seeded patch for a hierarchical one) and blended in by
+    /// [`Self::refine_with_priors`]. `prior_basis` is the full-deployment
+    /// sounding when `data` is an anchor subset (the fingerprint feature
+    /// shape is fixed at survey time), else `data`.
+    pub(crate) fn fuse_fallback(
+        &self,
+        est: Estimate,
+        data: &SoundingData,
+        prior_basis: &SoundingData,
+        stack: &FallbackStack,
+        open_frac: f64,
+    ) -> FusedFix {
+        let weights =
+            FusionWeights::from_degradation(&est.degradation, open_frac, &stack.config.policy);
+        if weights.csi >= 1.0 || !stack.has_estimators() {
+            return FusedFix {
+                estimate: est,
+                mode: EstimateMode::Csi,
+                weights: FusionWeights::pure_csi(),
+            };
+        }
+        let (fp, counts) = stack.priors(prior_basis, est.likelihood.spec());
+        let weights = weights.restrict(true, fp.is_some(), counts.is_some());
+        if weights.csi >= 1.0 {
+            return FusedFix {
+                estimate: est,
+                mode: EstimateMode::Csi,
+                weights,
+            };
+        }
+        let priors = fallback::weighted_priors(&fp, &counts, &weights);
+        let anchor_refs: Vec<P2> = data.anchors.iter().map(|a| a.center()).collect();
+        FusedFix {
+            estimate: self.refine_with_priors(est, &priors, weights.csi, &anchor_refs),
+            mode: EstimateMode::CsiFused,
+            weights,
         }
     }
 
@@ -507,92 +525,13 @@ impl BlocLocalizer {
     ) -> Estimate {
         let anchor_refs: Vec<P2> = data.anchors.iter().map(|a| a.center()).collect();
         let peaks = score_peaks(&fb.likelihood, &anchor_refs, &self.config.score);
-        let position = peaks
-            .first()
-            .map(|p| p.peak.position)
-            .unwrap_or(fb.position);
-        let mut est = Estimate {
+        let position = peaks.first().map_or(fb.position, |p| p.peak.position);
+        Estimate::new(
             position,
             peaks,
-            likelihood: fb.likelihood.clone(),
-            degradation: Self::synthetic_degradation(data),
-        };
-        est.degradation.confidence = est.confidence();
-        est
-    }
-
-    /// Multi-burst variant of [`Self::localize_with_fallback`]: fuses the
-    /// bursts' CSI evidence via [`Self::localize_fused`], with fallback
-    /// priors evaluated on the *last* burst (the freshest evidence).
-    ///
-    /// # Errors
-    ///
-    /// The [`Self::localize_fused`] error when CSI failed and no burst
-    /// supported a fallback estimate either.
-    pub fn localize_fused_with_fallback(
-        &self,
-        soundings: &[SoundingData],
-        stack: &FallbackStack,
-        open_frac: f64,
-    ) -> Result<FusedFix, LocalizeError> {
-        match self.localize_fused(soundings) {
-            Ok(est) => {
-                let weights = FusionWeights::from_degradation(
-                    &est.degradation,
-                    open_frac,
-                    &stack.config.policy,
-                );
-                let Some(last) = soundings.last() else {
-                    return Ok(FusedFix {
-                        estimate: est,
-                        mode: EstimateMode::Csi,
-                        weights: FusionWeights::pure_csi(),
-                    });
-                };
-                if weights.csi >= 1.0 || !stack.has_estimators() {
-                    return Ok(FusedFix {
-                        estimate: est,
-                        mode: EstimateMode::Csi,
-                        weights: FusionWeights::pure_csi(),
-                    });
-                }
-                let (fp, counts) = stack.priors(last, self.config.grid);
-                let weights = weights.restrict(true, fp.is_some(), counts.is_some());
-                if weights.csi >= 1.0 {
-                    return Ok(FusedFix {
-                        estimate: est,
-                        mode: EstimateMode::Csi,
-                        weights,
-                    });
-                }
-                let mut priors: Vec<(&Grid2D, f64)> = Vec::new();
-                if let Some((bump, _)) = &fp {
-                    priors.push((bump, weights.fingerprint));
-                }
-                if let Some(c) = &counts {
-                    priors.push((&c.likelihood, weights.counts));
-                }
-                let anchor_refs: Vec<P2> = last.anchors.iter().map(|a| a.center()).collect();
-                let refined = self.refine_with_priors(est, &priors, weights.csi, &anchor_refs);
-                Ok(FusedFix {
-                    estimate: refined,
-                    mode: EstimateMode::CsiFused,
-                    weights,
-                })
-            }
-            Err(csi_err) => {
-                for data in soundings.iter().rev() {
-                    if let Ok(fb) = stack.estimate(data, self.config.grid) {
-                        return Ok(FusedFix {
-                            estimate: self.estimate_from_fallback(data, &fb),
-                            mode: fb.mode,
-                            weights: fb.weights,
-                        });
-                    }
-                }
-                Err(csi_err)
-            }
-        }
+            fb.likelihood.clone(),
+            Self::synthetic_degradation(data),
+        )
     }
 
     /// A degradation report for a fallback-only estimate: CSI never ran,
@@ -644,12 +583,7 @@ impl BlocLocalizer {
             &anchor_refs,
             &self.config.score.peaks,
         )?;
-        Some(Estimate {
-            position: pick.position,
-            peaks: Vec::new(),
-            likelihood: grid,
-            degradation,
-        })
+        Some(Estimate::new(pick.position, Vec::new(), grid, degradation))
     }
 
     /// Localization by raw argmax of the joint likelihood (no peak
@@ -668,12 +602,7 @@ impl BlocLocalizer {
             return None;
         }
         let position = grid.spec().cell_center(ix, iy);
-        Some(Estimate {
-            position,
-            peaks: Vec::new(),
-            likelihood: grid,
-            degradation,
-        })
+        Some(Estimate::new(position, Vec::new(), grid, degradation))
     }
 
     /// The peak-extraction options in force (exposed for the baselines).

@@ -24,7 +24,6 @@ use bloc_num::{Grid2D, P2};
 
 /// Parameters of the multipath-rejection score.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ScoreConfig {
     /// Distance weight `a` (per metre of summed anchor distance).
     pub a: f64,
@@ -53,7 +52,6 @@ impl Default for ScoreConfig {
 
 /// A likelihood peak with its multipath-rejection score breakdown.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ScoredPeak {
     /// The underlying likelihood peak.
     pub peak: Peak,

@@ -46,13 +46,13 @@ use bloc_num::par::Deadline;
 // All runtime "randomness" (backoff jitter) is the same pure splitmix64
 // hash of seeds the fault plan uses, so reruns are bit-identical.
 use bloc_num::seed::splitmix64 as splitmix;
-use bloc_num::{Grid2D, P2};
+use bloc_num::P2;
 use bloc_obs::mode::ModeTracker;
 use bloc_obs::BoundedLedger;
 
 use crate::error::{DeferReason, LocalizeError};
 use crate::fallback::{EstimateMode, FallbackStack, FusionWeights};
-use crate::localizer::{BlocLocalizer, Estimate};
+use crate::localizer::{BlocLocalizer, Estimate, FusedFix};
 use crate::tracker::{FixDisposition, TrackState, TrackerConfig, TrackingPipeline};
 
 /// Deterministic jittered exponential backoff between sounding attempts.
@@ -63,7 +63,6 @@ use crate::tracker::{FixDisposition, TrackState, TrackerConfig, TrackingPipeline
 /// be replayed in isolation and two runs with equal seeds back off
 /// identically.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RetryPolicy {
     /// Retries after the first attempt (total attempts = `max_retries + 1`).
     pub max_retries: usize,
@@ -138,7 +137,6 @@ impl RetryPolicy {
 
 /// Circuit-breaker state of one anchor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum BreakerState {
     /// Healthy: the anchor is admitted to every round.
     Closed,
@@ -163,7 +161,6 @@ impl BreakerState {
 /// One breaker transition, as recorded in the supervisor's ledger and
 /// mirrored as a `runtime.breaker` obs event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BreakerTransition {
     /// The round the transition happened in.
     pub round: u64,
@@ -177,7 +174,6 @@ pub struct BreakerTransition {
 
 /// Supervisor tuning.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RuntimeConfig {
     /// EWMA weight of the newest health observation, `(0, 1]`.
     pub health_alpha: f64,
@@ -206,9 +202,11 @@ pub struct RuntimeConfig {
     pub tracker: TrackerConfig,
     /// Hierarchical coarse-to-fine solver for the session's rounds:
     /// `Some` localizes seeded from the live track (full coarse→fine when
-    /// no track), with fallback priors evaluated at the coarse level;
-    /// `None` (the default) keeps the dense solver.
-    #[cfg_attr(feature = "serde", serde(default))]
+    /// no track); `None` (the default) keeps the dense solver. No prior
+    /// enters hierarchical candidate selection: a degraded fix is refined
+    /// with fallback priors on the estimate's own surface (the coarse
+    /// selection surface on full-flow rounds, the fine patch on seeded
+    /// rounds), and a fallback-only round estimates on the coarse grid.
     pub hierarchical: Option<crate::hierarchical::HierarchicalConfig>,
     /// Resident capacity of the breaker-transition ledger. Older entries
     /// are evicted and counted ([`SessionSupervisor::breaker_ledger`]'s
@@ -679,8 +677,11 @@ impl SessionSupervisor {
                             bloc_obs::gauge(&format!("runtime.anchor_health.{orig}")).set(health);
                         }
                     }
-                    let (est, mode, weights) =
-                        self.maybe_refine(est, &data, fallback_sounding.as_ref());
+                    let FusedFix {
+                        estimate: est,
+                        mode,
+                        weights,
+                    } = self.maybe_refine(est, &data, fallback_sounding.as_ref());
                     if let Some(mt) = &mut self.mode_tracker {
                         mt.observe(mode.name());
                     }
@@ -712,51 +713,33 @@ impl SessionSupervisor {
         self.degraded_or_defer(dt, reason, fallback_sounding, round, &mut sound)
     }
 
-    /// Refines a native fix with fallback priors when the round's health
-    /// is below the fusion policy's threshold. A healthy round (or a
-    /// session without a stack) returns the estimate untouched under
-    /// pure-CSI weights.
+    /// Refines a native fix with fallback priors under
+    /// [`BlocLocalizer::fuse_fallback`]'s policy. A session without a
+    /// stack returns the estimate untouched under pure-CSI weights.
     fn maybe_refine(
         &self,
         est: Estimate,
         data: &SoundingData,
         full: Option<&SoundingData>,
-    ) -> (Estimate, EstimateMode, FusionWeights) {
+    ) -> FusedFix {
         let Some(stack) = &self.fallback else {
-            return (est, EstimateMode::Csi, FusionWeights::pure_csi());
+            return FusedFix {
+                estimate: est,
+                mode: EstimateMode::Csi,
+                weights: FusionWeights::pure_csi(),
+            };
         };
-        let weights = FusionWeights::from_degradation(
-            &est.degradation,
+        let fix = self.pipeline.localizer().fuse_fallback(
+            est,
+            data,
+            full.unwrap_or(data),
+            stack,
             self.open_frac(),
-            &stack.config.policy,
         );
-        if weights.csi >= 1.0 || !stack.has_estimators() {
-            return (est, EstimateMode::Csi, FusionWeights::pure_csi());
+        if fix.mode == EstimateMode::CsiFused {
+            bloc_obs::counter("fallback.refined_fixes").inc();
         }
-        // Priors must share the estimate's likelihood spec to fuse: the
-        // fine grid for dense rounds, the coarse selection surface or the
-        // seeded patch for hierarchical ones.
-        let grid = est.likelihood.spec();
-        let basis = full.unwrap_or(data);
-        let (fp, counts) = stack.priors(basis, grid);
-        let weights = weights.restrict(true, fp.is_some(), counts.is_some());
-        if weights.csi >= 1.0 {
-            return (est, EstimateMode::Csi, weights);
-        }
-        let mut priors: Vec<(&Grid2D, f64)> = Vec::new();
-        if let Some((bump, _)) = &fp {
-            priors.push((bump, weights.fingerprint));
-        }
-        if let Some(c) = &counts {
-            priors.push((&c.likelihood, weights.counts));
-        }
-        let anchor_refs: Vec<P2> = data.anchors.iter().map(|a| a.center()).collect();
-        let refined =
-            self.pipeline
-                .localizer()
-                .refine_with_priors(est, &priors, weights.csi, &anchor_refs);
-        bloc_obs::counter("fallback.refined_fixes").inc();
-        (refined, EstimateMode::CsiFused, weights)
+        fix
     }
 
     /// The defer path with a fallback stack attached: try to rescue the

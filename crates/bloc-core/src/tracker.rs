@@ -17,7 +17,6 @@ use bloc_num::P2;
 
 /// Tracker tuning.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TrackerConfig {
     /// Process-noise intensity: the variance of white acceleration,
     /// (m/s²)². Larger values follow manoeuvres faster but smooth less.
@@ -67,7 +66,6 @@ impl Default for TrackerConfig {
 
 /// State estimate: position and velocity with their standard deviations.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TrackState {
     /// Estimated position, metres.
     pub position: P2,
@@ -82,7 +80,6 @@ pub struct TrackState {
 /// The x and y axes are independent under the CV model, so the filter is
 /// implemented as two identical 2-state (position, velocity) filters.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Tracker {
     config: TrackerConfig,
     axis: Option<[AxisFilter; 2]>,
@@ -128,7 +125,6 @@ impl FixDisposition {
 
 /// One axis of the CV filter: state (p, v), covariance [[p00,p01],[p01,p11]].
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 struct AxisFilter {
     p: f64,
     v: f64,
@@ -451,9 +447,9 @@ impl TrackingPipeline {
         self.hier.as_ref()
     }
 
-    /// The grid fallback priors should be evaluated on for this
-    /// pipeline's rounds: the coarse candidate-selection grid when the
-    /// hierarchy is enabled (priors enter at the coarse level), the full
+    /// The grid a fallback-only estimate is made on for this pipeline's
+    /// rounds (CSI produced no surface to match): the coarse
+    /// candidate-selection grid when the hierarchy is enabled, the full
     /// fine grid otherwise.
     pub fn prior_grid(&self) -> bloc_num::GridSpec {
         self.hier

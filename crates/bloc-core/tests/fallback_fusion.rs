@@ -3,6 +3,8 @@
 //! * A healthy round must be **exactly** the pure-CSI estimate — fusion
 //!   weights snap to `csi = 1` at the healthy threshold, so attaching a
 //!   fallback stack cannot perturb a cm-class fix.
+//! * A degraded round that CSI still fixes is refined with the priors
+//!   (`CsiFused`), identically through the localizer and the supervisor.
 //! * A round whose CSI pipeline fails outright must still estimate, with
 //!   the mode provenance flagged and the CSI weight at zero.
 //! * Fusion weights are a convex combination for every health value.
@@ -102,6 +104,57 @@ fn healthy_round_is_exactly_pure_csi() {
         fused.estimate.position, pure.position,
         "snap-to-CSI means bit-identical, not merely close"
     );
+}
+
+#[test]
+fn degraded_fix_is_csi_fused_identically_in_localizer_and_supervisor() {
+    let room = Room::new(5.0, 6.0);
+    let env = Environment::free_space();
+    let anchors = anchors(&room);
+    let chans = all_data_channels();
+    // One slave dark for the whole sweep plus light hop loss: three
+    // anchors still fix, but survival is ~0.75, below the healthy
+    // threshold, so the fix must be refined with the priors.
+    let plan = FaultPlan {
+        seed: 91,
+        tag_loss: 0.1,
+        dropouts: vec![AnchorDropout {
+            anchor: 2,
+            bands: 0..chans.len(),
+        }],
+        range_loss: Some(range_loss()),
+        ..Default::default()
+    };
+    let clean = clean_sounder(&env, &anchors);
+    let stack = stack_for(&clean);
+    let faulted = clean_sounder(&env, &anchors).with_faults(plan);
+    let localizer = BlocLocalizer::new(BlocConfig::for_room(&room));
+
+    let mut rng = StdRng::seed_from_u64(406);
+    let tag = P2::new(3.1, 2.6);
+    let data = faulted.sound(tag, &chans, &mut rng);
+    assert!(localizer.localize(&data).is_ok(), "CSI must still fix here");
+
+    let fused = localizer
+        .localize_with_fallback(&data, &stack, 0.0)
+        .expect("degraded sounding fixes");
+    assert_eq!(fused.mode, EstimateMode::CsiFused);
+    assert!(fused.weights.csi < 1.0, "{:?}", fused.weights);
+    assert!(fused.weights.is_convex());
+
+    let mut sup =
+        SessionSupervisor::new(localizer, 4, RuntimeConfig::default()).with_fallback(stack);
+    let RoundOutcome::Fix(fix) = sup.run_round(0.5, |_| data.clone()) else {
+        panic!("a CSI-fixable round must fix");
+    };
+    assert_eq!(fix.mode, EstimateMode::CsiFused);
+    assert_eq!(fix.weights, fused.weights);
+    assert_eq!(
+        fix.estimate.position, fused.estimate.position,
+        "one fusion policy means bit-identical fixes"
+    );
+    let err = fused.estimate.position.dist(tag);
+    assert!(err < 3.7, "fused fix left the fallback regime: {err} m");
 }
 
 #[test]

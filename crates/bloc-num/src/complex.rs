@@ -15,7 +15,6 @@ use std::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssi
 /// The naming follows the convention of DSP codebases: `re + ι·im` with
 /// `ι = √−1` (the paper uses `ι` for the imaginary unit).
 #[derive(Clone, Copy, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct C64 {
     /// Real part.
     pub re: f64,

@@ -10,7 +10,6 @@ use crate::point::P2;
 
 /// The geometry of a grid: where it sits in space and how fine it is.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct GridSpec {
     /// Lower-left corner of the covered region, metres.
     pub origin: P2,
@@ -220,7 +219,6 @@ impl GridPatch {
 
 /// A dense real-valued grid with [`GridSpec`] geometry.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Grid2D {
     spec: GridSpec,
     data: Vec<f64>,

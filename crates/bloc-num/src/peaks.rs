@@ -10,7 +10,6 @@ use crate::point::P2;
 
 /// A local maximum of a likelihood grid.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Peak {
     /// Cell x index.
     pub ix: usize,
@@ -24,7 +23,6 @@ pub struct Peak {
 
 /// Options controlling peak extraction.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PeakOptions {
     /// Neighborhood radius (cells) within which a peak must dominate. 1 is
     /// the classic 8-neighbour local maximum; larger values suppress

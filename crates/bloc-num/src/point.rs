@@ -9,7 +9,6 @@ use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
 
 /// A point (or vector) in the 2-D plane, metres.
 #[derive(Clone, Copy, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct P2 {
     /// X coordinate, metres.
     pub x: f64,

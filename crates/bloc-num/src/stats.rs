@@ -65,7 +65,6 @@ pub fn median(xs: &[f64]) -> f64 {
 
 /// One point of an empirical CDF.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CdfPoint {
     /// Sample value (for us: localization error, metres).
     pub value: f64,
@@ -77,7 +76,6 @@ pub struct CdfPoint {
 ///
 /// This is the object each CDF figure in the paper (Figs. 9a–c, 12) plots.
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Ecdf {
     sorted: Vec<f64>,
 }
@@ -165,7 +163,6 @@ impl Ecdf {
 /// Online accumulator for mean/variance (Welford) — used by the parallel
 /// sweep runner to aggregate errors without storing every sample twice.
 #[derive(Debug, Clone, Copy, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Welford {
     n: u64,
     mean: f64,

@@ -1,8 +1,7 @@
 //! A hand-rolled JSON value, writer and parser.
 //!
-//! `serde` is deliberately optional in this workspace (and absent from
-//! the core tree), so the observability layer carries its own ~200-line
-//! JSON implementation: enough to write and re-read JSONL sink lines and
+//! The workspace has no serialization dependency, so the observability
+//! layer carries its own ~200-line JSON implementation: enough to write and re-read JSONL sink lines and
 //! [`crate::report::RunReport`] files. Numbers are `f64` (every metric in
 //! the workspace fits in 53 bits of integer precision).
 

@@ -15,7 +15,7 @@
 //!   hammer from any number of threads.
 //! * [`event::Sink`] — pluggable structured-event consumers; ships with a
 //!   stderr pretty-printer and a JSONL file sink backed by the
-//!   hand-rolled [`json`] writer (serde stays out of the core tree).
+//!   hand-rolled [`json`] writer (the workspace has no serde).
 //! * [`report::RunReport`] — a point-in-time snapshot of every metric,
 //!   diffable across runs (`after.diff(&before)` isolates one pipeline
 //!   run), renderable as a per-stage breakdown table, and round-trippable

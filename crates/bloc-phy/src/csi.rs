@@ -19,7 +19,6 @@ use bloc_num::{complex, C64};
 
 /// The per-band CSI measured from one localization packet.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BandCsi {
     /// Channel at the f₀ tone (0-bits).
     pub h0: C64,

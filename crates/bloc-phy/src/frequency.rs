@@ -20,7 +20,6 @@ pub fn instantaneous_frequency(iq: &[C64], fs: f64) -> Vec<f64> {
 /// A maximal region of samples whose instantaneous frequency stays within
 /// `tolerance_hz` of a constant.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SettledRegion {
     /// First sample index of the region (into the IQ stream).
     pub start: usize,

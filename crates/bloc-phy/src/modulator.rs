@@ -12,7 +12,6 @@ use bloc_num::C64;
 
 /// Modulator parameters.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ModulatorConfig {
     /// Samples per symbol.
     pub sps: usize,

@@ -17,7 +17,6 @@
 
 /// A sampled Gaussian frequency pulse.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct GaussianPulse {
     taps: Vec<f64>,
     sps: usize,

@@ -16,8 +16,6 @@
 //!    [`bloc_core::DegradationReport`]) or explains a typed
 //!    [`bloc_core::LocalizeError`]. Nothing is silently absorbed.
 
-use serde::{Deserialize, Serialize};
-
 use super::ExperimentSize;
 use crate::dataset::sample_positions;
 use crate::metrics::ErrorStats;
@@ -35,7 +33,7 @@ pub const LOSS_RATES: [f64; 4] = [0.0, 0.1, 0.25, 0.5];
 pub const DROPOUT_COUNTS: [usize; 3] = [0, 1, 2];
 
 /// Stats at one (loss rate, dropout count) grid point.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DegradationPoint {
     /// Per-hop tag→anchor loss probability.
     pub tag_loss: f64,
@@ -48,7 +46,7 @@ pub struct DegradationPoint {
 }
 
 /// Totals of the per-location fault reconciliation.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct ReconcileResult {
     /// Locations checked.
     pub locations: usize,
@@ -65,7 +63,7 @@ pub struct ReconcileResult {
 }
 
 /// Result of the degradation experiment.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DegradationResult {
     /// One entry per (loss, dropouts) pair, loss-major order.
     pub points: Vec<DegradationPoint>,

@@ -4,8 +4,6 @@
 //! them per second (§6). This experiment measures what the spare cycles
 //! buy: median error versus the number of fused bursts per fix.
 
-use serde::{Deserialize, Serialize};
-
 use bloc_core::BlocLocalizer;
 use rand::{rngs::StdRng, SeedableRng};
 
@@ -15,7 +13,7 @@ use crate::metrics::ErrorStats;
 use crate::scenario::Scenario;
 
 /// Stats at one burst count.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FusionStats {
     /// Bursts fused per fix.
     pub bursts: usize,
@@ -24,7 +22,7 @@ pub struct FusionStats {
 }
 
 /// Result of the fusion extension experiment.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ExtFusionResult {
     /// One entry per burst count (1, 2, 4).
     pub points: Vec<FusionStats>,

@@ -7,8 +7,6 @@
 
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 use super::ExperimentSize;
 use crate::dataset::sample_positions;
 use crate::metrics::ErrorStats;
@@ -16,7 +14,7 @@ use crate::runner::{sweep, Method, SweepSpec};
 use crate::scenario::Scenario;
 
 /// Stats at one bandwidth.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BandwidthStats {
     /// Stitched bandwidth, MHz.
     pub bandwidth_mhz: f64,
@@ -27,7 +25,7 @@ pub struct BandwidthStats {
 }
 
 /// Result of the Fig. 10 experiment.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig10Result {
     /// One entry per bandwidth, ascending.
     pub points: Vec<BandwidthStats>,

@@ -8,8 +8,6 @@
 
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 use super::ExperimentSize;
 use crate::dataset::sample_positions;
 use crate::metrics::ErrorStats;
@@ -17,7 +15,7 @@ use crate::runner::{sweep, Method, SweepSpec};
 use crate::scenario::Scenario;
 
 /// Stats at one subsampling factor.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SubsampleStats {
     /// Keep-every-n factor (1 = all channels).
     pub stride: usize,
@@ -28,7 +26,7 @@ pub struct SubsampleStats {
 }
 
 /// Result of the Fig. 11 experiment.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig11Result {
     /// One entry per stride (1, 2, 4).
     pub points: Vec<SubsampleStats>,

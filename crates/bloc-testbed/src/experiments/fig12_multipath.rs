@@ -5,8 +5,6 @@
 //! 86 cm to 195 cm (p90 178 → 331 cm) — "the multipath rejection
 //! algorithm is crucial to the accuracy of BLoc."
 
-use serde::{Deserialize, Serialize};
-
 use super::ExperimentSize;
 use crate::dataset::sample_positions;
 use crate::metrics::ErrorStats;
@@ -14,7 +12,7 @@ use crate::runner::{sweep, Method, SweepSpec};
 use crate::scenario::Scenario;
 
 /// Result of the Fig. 12 experiment.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig12Result {
     /// Full BLoc.
     pub bloc: ErrorStats,

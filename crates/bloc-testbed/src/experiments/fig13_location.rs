@@ -5,8 +5,6 @@
 //! closely spaced values of the sinusoid at near 90° angles. Apart from
 //! that … no consistent pattern."
 
-use serde::{Deserialize, Serialize};
-
 use bloc_num::{Grid2D, P2};
 
 use super::ExperimentSize;
@@ -16,7 +14,7 @@ use crate::runner::{sweep, Method, SweepSpec};
 use crate::scenario::Scenario;
 
 /// Result of the Fig. 13 experiment.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig13Result {
     /// Per-cell RMSE (0.5 m cells over the room).
     pub rmse: Grid2D,

@@ -1,15 +1,13 @@
 //! Fig. 4: GFSK frequency behaviour — random data never settles, BLoc's
 //! long 0/1 runs settle at the tones.
 
-use serde::{Deserialize, Serialize};
-
 use bloc_phy::frequency::settled_regions;
 use bloc_phy::modulator::{GfskModulator, ModulatorConfig};
 
 use super::ExperimentSize;
 
 /// Result of the Fig. 4 microbenchmark.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig4Result {
     /// Normalized frequency waveform of pseudo-random bits (Fig. 4a), one
     /// value per sample.

@@ -6,8 +6,6 @@
 //! distances measured are relative. … Blue square marks the actual
 //! location of the source."
 
-use serde::{Deserialize, Serialize};
-
 use bloc_chan::sounder::{all_data_channels, SounderConfig};
 use bloc_core::correction::correct;
 use bloc_core::likelihood::{
@@ -21,7 +19,7 @@ use crate::metrics::ascii_heatmap;
 use crate::scenario::Scenario;
 
 /// Result of the Fig. 6 illustration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig6Result {
     /// The true source position.
     pub truth: P2,

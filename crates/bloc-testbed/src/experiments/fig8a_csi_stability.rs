@@ -4,8 +4,6 @@
 //! different frequency channels… the phase of the channel remains
 //! consistent across measurements."
 
-use serde::{Deserialize, Serialize};
-
 use bloc_ble::channels::Channel;
 use bloc_chan::sounder::SounderConfig;
 use bloc_num::angle::{circular_variance, rad_to_deg};
@@ -15,7 +13,7 @@ use super::ExperimentSize;
 use crate::scenario::Scenario;
 
 /// Per-subband phase series.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SubbandSeries {
     /// The paper's subband number (frequency index).
     pub subband: usize,
@@ -27,7 +25,7 @@ pub struct SubbandSeries {
 }
 
 /// Result of the Fig. 8(a) microbenchmark.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig8aResult {
     /// One series per probed subband ({6, 16, 26, 36}, as in the paper).
     pub series: Vec<SubbandSeries>,

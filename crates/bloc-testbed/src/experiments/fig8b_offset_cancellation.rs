@@ -6,8 +6,6 @@
 //! frequency, whereas the red curve shows linear behavior across
 //! frequency."
 
-use serde::{Deserialize, Serialize};
-
 use bloc_chan::sounder::{all_data_channels, SounderConfig};
 use bloc_core::correction::correct;
 use bloc_num::angle::{rad_to_deg, unwrap};
@@ -19,7 +17,7 @@ use super::ExperimentSize;
 use crate::scenario::Scenario;
 
 /// Result of the Fig. 8(b) microbenchmark.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig8bResult {
     /// Subband (frequency index) per sample, ascending.
     pub subbands: Vec<usize>,

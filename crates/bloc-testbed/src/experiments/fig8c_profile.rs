@@ -4,8 +4,6 @@
 //! the multipath… the multipath peaks are more spread out than the direct
 //! path… BLoc has predicted the right peak."
 
-use serde::{Deserialize, Serialize};
-
 use bloc_chan::sounder::{all_data_channels, SounderConfig};
 use bloc_core::{BlocConfig, BlocLocalizer};
 use bloc_num::{Grid2D, P2};
@@ -16,7 +14,7 @@ use crate::metrics::ascii_heatmap;
 use crate::scenario::Scenario;
 
 /// Result of the Fig. 8(c) microbenchmark.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig8cResult {
     /// Ground-truth tag position.
     pub truth: P2,

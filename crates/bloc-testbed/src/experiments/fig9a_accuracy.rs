@@ -4,8 +4,6 @@
 //! AoA-combining based system achieves a median error of 242 cm. The 90th
 //! percentile of the localization error is 170 cm and 340 cm."
 
-use serde::{Deserialize, Serialize};
-
 use super::ExperimentSize;
 use crate::dataset::sample_positions;
 use crate::metrics::ErrorStats;
@@ -13,7 +11,7 @@ use crate::runner::{sweep, Method, SweepSpec};
 use crate::scenario::Scenario;
 
 /// Result of the Fig. 9(a) experiment.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig9aResult {
     /// BLoc error statistics.
     pub bloc: ErrorStats,

@@ -9,8 +9,6 @@
 
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 use super::ExperimentSize;
 use crate::dataset::sample_positions;
 use crate::metrics::ErrorStats;
@@ -18,7 +16,7 @@ use crate::runner::{sweep, Method, SweepSpec};
 use crate::scenario::Scenario;
 
 /// Stats for one (method, anchor-count) cell.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AnchorCountStats {
     /// Number of anchors used.
     pub n_anchors: usize,
@@ -29,7 +27,7 @@ pub struct AnchorCountStats {
 }
 
 /// Result of the Fig. 9(b) experiment.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig9bResult {
     /// BLoc, for 2/3/4 anchors.
     pub bloc: Vec<AnchorCountStats>,

@@ -6,8 +6,6 @@
 
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 use super::ExperimentSize;
 use crate::dataset::sample_positions;
 use crate::metrics::ErrorStats;
@@ -15,7 +13,7 @@ use crate::runner::{sweep, Method, SweepSpec};
 use crate::scenario::Scenario;
 
 /// Stats for one (method, antenna-count) cell.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AntennaCountStats {
     /// Antennas per anchor.
     pub n_antennas: usize,
@@ -24,7 +22,7 @@ pub struct AntennaCountStats {
 }
 
 /// Result of the Fig. 9(c) experiment.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig9cResult {
     /// BLoc with 3 and 4 antennas.
     pub bloc: Vec<AntennaCountStats>,

@@ -4,8 +4,6 @@
 //! reports. The `bloc-bench` figure binaries run them at paper scale;
 //! the integration tests run them at smoke scale.
 
-use serde::{Deserialize, Serialize};
-
 pub mod degradation;
 pub mod ext_fusion;
 pub mod fig10_bandwidth;
@@ -22,7 +20,7 @@ pub mod fig9b_anchors;
 pub mod fig9c_antennas;
 
 /// How large to run an experiment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExperimentSize {
     /// Number of tag locations evaluated.
     pub locations: usize,

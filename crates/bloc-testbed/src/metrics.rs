@@ -1,13 +1,11 @@
 //! Evaluation metrics: error summaries, CDFs and the spatial RMSE map.
 
-use serde::{Deserialize, Serialize};
-
 use bloc_chan::geometry::Room;
 use bloc_num::stats::{mean, median, percentile, std_dev, Ecdf};
 use bloc_num::{Grid2D, GridSpec, P2};
 
 /// Summary statistics of a localization-error sample (all metres).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ErrorStats {
     /// Number of evaluated locations.
     pub n: usize,
@@ -50,7 +48,7 @@ impl ErrorStats {
 /// Accumulates localization errors per spatial cell and reports per-cell
 /// RMSE — paper Fig. 13 ("we plot the RMSE values at different locations
 /// of the BLE tag within the environment").
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RmseMap {
     spec: GridSpec,
     sum_sq: Vec<f64>,

@@ -13,7 +13,6 @@
 use std::sync::Arc;
 
 use bloc_obs::local::LocalStats;
-use serde::{Deserialize, Serialize};
 
 use bloc_ble::channels::Channel;
 use bloc_chan::sounder::{SounderConfig, SoundingData};
@@ -27,7 +26,7 @@ use crate::metrics::ErrorStats;
 use crate::scenario::Scenario;
 
 /// A localization method under evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Method {
     /// Full BLoc: correction + joint likelihood + entropy/distance scoring.
     Bloc,
@@ -56,7 +55,7 @@ impl Method {
 }
 
 /// One evaluated location.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LocRecord {
     /// Ground-truth tag position (the simulator's coordinates stand in for
     /// the paper's VICON truth).
@@ -74,7 +73,7 @@ pub struct LocRecord {
 }
 
 /// A method's results over the whole sweep.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SweepOutcome {
     /// The evaluated method.
     pub method: Method,

@@ -19,7 +19,6 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 use bloc_chan::environment::Obstruction;
 use bloc_chan::geometry::{Room, Segment};
@@ -30,7 +29,7 @@ use bloc_chan::{AnchorArray, Environment};
 use bloc_num::P2;
 
 /// How much clutter the room carries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Clutter {
     /// Open free space, ideal LOS — the Fig. 8(b) microbenchmark setting
     /// ("a relatively multipath free environment").

@@ -73,6 +73,9 @@ if [[ "${1:-}" != "quick" ]]; then
     run cargo run --release -q -p bloc-bench --bin obs_report
 fi
 run cargo test -q
+# Criterion benches: `cargo test` does not build benches/, so a public API
+# change that breaks a bench would otherwise pass the gate.
+run cargo check -q -p bloc-bench --benches
 # Benchmark self-test: builds the standalone e2ebench package against
 # this tree's crates and runs its tests, so an engine API change that
 # breaks the benchmark's kernel wrapper (or its replay/digest checks)
