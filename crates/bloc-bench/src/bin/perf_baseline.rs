@@ -33,6 +33,7 @@ use bloc_core::correction::correct;
 use bloc_core::engine::LikelihoodEngine;
 use bloc_core::likelihood::{joint_likelihood_reference, AntennaCombining};
 use bloc_core::localizer::BlocLocalizer;
+use bloc_core::tracker::TrackerConfig;
 use bloc_core::{HierarchicalConfig, HierarchicalLocalizer};
 use bloc_num::P2;
 use bloc_testbed::scenario::Scenario;
@@ -633,7 +634,11 @@ fn hierarchical_baseline(iters: usize, write_json: bool) -> bool {
     // cost ≤ 10% of a dense sweep; and the `engine.cells_evaluated`
     // counter delta must reconcile *exactly* with the estimate's own
     // accounting. Low-noise soundings pin the steady state down (the
-    // regime the tracker's innovation gate maintains in production).
+    // regime the tracker's innovation gate maintains in production), and
+    // every seeded round searches the default tracker's settled gate
+    // radius (`gate_sigma × fix_sigma_m`), not a hand-picked one.
+    let tracker = TrackerConfig::default();
+    let seed_radius = tracker.gate_sigma * tracker.fix_sigma_m;
     let track_sounder = scenario.sounder(SounderConfig {
         csi_snr_db: 30.0,
         antenna_phase_err_std: 0.0,
@@ -648,7 +653,7 @@ fn hierarchical_baseline(iters: usize, write_json: bool) -> bool {
         let est = match seed_pos {
             None => hier.localize(&data).expect("first tracking fix"),
             Some(p) => hier
-                .localize_seeded(&data, p, 1.0)
+                .localize_seeded(&data, p, seed_radius)
                 .expect("seeded tracking fix"),
         };
         let delta = bloc_obs::Registry::global().snapshot().diff(&before);
@@ -717,7 +722,7 @@ fn hierarchical_baseline(iters: usize, write_json: bool) -> bool {
         for data in &walks[pass] {
             let est = match seed {
                 None => hier.localize(data),
-                Some(p) => hier.localize_seeded(data, p, 1.0),
+                Some(p) => hier.localize_seeded(data, p, seed_radius),
             }
             .expect("moving-tag corridor fix");
             seed = Some(est.estimate.position);

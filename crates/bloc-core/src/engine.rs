@@ -24,8 +24,9 @@
 //!    relative distances `Δ_ij(x)` (Eq. 14) and their seed/step phasors
 //!    keyed by (grid, anchor geometry) — a deployment sounds thousands of
 //!    times against the same grid, and the geometry never changes. A
-//!    sub-window of a grid ([`LikelihoodEngine::anchor_likelihood_window`],
-//!    the hierarchy's fine patches) reads that grid's tables in place.
+//!    sub-window of a grid ([`LikelihoodEngine::window_likelihoods`], the
+//!    hierarchy's seed windows and fine patches) reads that grid's tables
+//!    in place.
 //! 3. **Coarse parallelism**: the joint likelihood fans out across
 //!    *anchors* and single-anchor maps across row *chunks*, both through
 //!    [`bloc_num::par`] with work-size thresholding
@@ -798,9 +799,16 @@ impl LikelihoodEngine {
         }
     }
 
-    /// Takes the arena's SoA scratch (or a fresh one) rebuilt for
-    /// `corrected`.
-    fn soa_for(&self, corrected: &CorrectedChannels) -> Box<SoaChannels> {
+    /// Runs `f` on the SoA re-pack of `corrected` and `spec`'s steering
+    /// tables: one re-pack and one table lookup however many maps `f`
+    /// evaluates. The SoA scratch comes from (and returns to) the arena,
+    /// so steady-state soundings allocate no channel tensors.
+    fn with_inputs<R>(
+        &self,
+        corrected: &CorrectedChannels,
+        spec: GridSpec,
+        f: impl FnOnce(&SoaChannels, &SteeringTables) -> R,
+    ) -> R {
         let taken = self
             .soa_arena
             .lock()
@@ -808,12 +816,16 @@ impl LikelihoodEngine {
             .take();
         let mut soa = taken.unwrap_or_else(|| Box::new(SoaChannels::empty()));
         soa.rebuild(corrected);
-        soa
-    }
-
-    /// Returns SoA scratch to the arena for the next call.
-    fn release_soa(&self, soa: Box<SoaChannels>) {
+        let tables = self.cache.tables(
+            spec,
+            &corrected.anchors,
+            &corrected.master_anchor_dist,
+            soa.plan.base_hz,
+            soa.plan.step_hz,
+        );
+        let out = f(&soa, &tables);
         *self.soa_arena.lock().unwrap_or_else(|e| e.into_inner()) = Some(soa);
+        out
     }
 
     /// Replaces the kernel.
@@ -852,51 +864,58 @@ impl LikelihoodEngine {
         spec: GridSpec,
         combining: AntennaCombining,
     ) -> Grid2D {
-        self.anchor_likelihood_window(corrected, i, spec, GridPatch::whole(spec), combining)
+        let whole = GridPatch::whole(spec);
+        let mut maps = self.window_likelihoods(corrected, spec, &[whole], &[i], combining);
+        maps.pop().unwrap_or_else(|| Grid2D::zeros(spec))
     }
 
-    /// [`Self::anchor_likelihood`] over one index window of `spec` (a
-    /// [`GridSpec::patch`]). The map is shaped like `window.spec`, and
-    /// every cell is bit-identical to the same cell of the full `spec`
+    /// Every listed anchor's map over every index window of `spec` (a
+    /// [`GridSpec::patch`]), in window-major order: `maps[w ·
+    /// anchors.len() + k]` is anchor `anchors[k]` on `windows[w]`. Each
+    /// map is shaped like its window's spec, and every cell is
+    /// bit-identical to the same cell of the full [`Self::anchor_likelihood`]
     /// map: the kernel reads `spec`'s cached steering tables in place, so
     /// any number of windows share the one table per (grid, comb, anchor
-    /// set).
+    /// set). One SoA re-pack and one steering-table lookup serve the whole
+    /// batch — the hierarchy asks for each level's maps in one call.
     ///
     /// # Panics
     ///
-    /// When `window` does not lie inside `spec`.
-    pub fn anchor_likelihood_window(
+    /// When a window does not lie inside `spec`.
+    pub fn window_likelihoods(
         &self,
         corrected: &CorrectedChannels,
-        i: usize,
         spec: GridSpec,
-        window: GridPatch,
+        windows: &[GridPatch],
+        anchors: &[usize],
         combining: AntennaCombining,
-    ) -> Grid2D {
+    ) -> Vec<Grid2D> {
         // A window hanging off the right edge would silently wrap into the
         // next row's cells rather than fail a slice bound.
         assert!(
-            window.x0 + window.spec.nx <= spec.nx && window.y0 + window.spec.ny <= spec.ny,
+            windows
+                .iter()
+                .all(|w| w.x0 + w.spec.nx <= spec.nx && w.y0 + w.spec.ny <= spec.ny),
             "window must lie inside the grid"
         );
-        let soa = self.soa_for(corrected);
-        let tables = self.cache.tables(
-            spec,
-            &corrected.anchors,
-            &corrected.master_anchor_dist,
-            soa.plan.base_hz,
-            soa.plan.step_hz,
-        );
-        let inputs = KernelInputs {
-            corrected,
-            soa: &soa,
-            tables: &tables,
-            window,
-        };
-        let map = self.kernel.anchor_map(&inputs, i, combining, self.threads);
-        self.release_soa(soa);
-        bloc_obs::counter("engine.cells_evaluated").add(window.spec.len() as u64);
-        map
+        let maps = self.with_inputs(corrected, spec, |soa, tables| {
+            let mut maps = Vec::with_capacity(windows.len() * anchors.len());
+            for &window in windows {
+                let inputs = KernelInputs {
+                    corrected,
+                    soa,
+                    tables,
+                    window,
+                };
+                for &i in anchors {
+                    maps.push(self.kernel.anchor_map(&inputs, i, combining, self.threads));
+                }
+            }
+            maps
+        });
+        let cells: usize = windows.iter().map(|w| w.spec.len()).sum();
+        bloc_obs::counter("engine.cells_evaluated").add((cells * anchors.len()) as u64);
+        maps
     }
 
     /// The joint likelihood (per-anchor maps normalized, degradation-
@@ -916,20 +935,6 @@ impl LikelihoodEngine {
         spec: GridSpec,
         combining: AntennaCombining,
     ) -> Grid2D {
-        let soa = self.soa_for(corrected);
-        let tables = self.cache.tables(
-            spec,
-            &corrected.anchors,
-            &corrected.master_anchor_dist,
-            soa.plan.base_hz,
-            soa.plan.step_hz,
-        );
-        let inputs = KernelInputs {
-            corrected,
-            soa: &soa,
-            tables: &tables,
-            window: GridPatch::whole(spec),
-        };
         let n = corrected.n_anchors();
         // Only anchors with surviving evidence get maps (the weighting
         // skips the rest), and each map is a full grid of kernel work —
@@ -938,26 +943,35 @@ impl LikelihoodEngine {
             .filter(|&i| corrected.surviving_fraction(i) > 0.0)
             .collect();
         let anchor_threads = bloc_num::par::tuned_threads(alive.len(), self.threads, 1);
-        let joint = if anchor_threads > 1 {
-            let maps =
-                bloc_num::par::map_named("likelihood.anchors", alive.len(), anchor_threads, |k| {
-                    self.kernel.anchor_map(&inputs, alive[k], combining, 1)
-                });
-            let mut by_anchor: Vec<Option<Grid2D>> = (0..n).map(|_| None).collect();
-            for (&i, map) in alive.iter().zip(maps) {
-                by_anchor[i] = Some(map);
+        let joint = self.with_inputs(corrected, spec, |soa, tables| {
+            let inputs = KernelInputs {
+                corrected,
+                soa,
+                tables,
+                window: GridPatch::whole(spec),
+            };
+            if anchor_threads > 1 {
+                let maps = bloc_num::par::map_named(
+                    "likelihood.anchors",
+                    alive.len(),
+                    anchor_threads,
+                    |k| self.kernel.anchor_map(&inputs, alive[k], combining, 1),
+                );
+                let mut by_anchor: Vec<Option<Grid2D>> = (0..n).map(|_| None).collect();
+                for (&i, map) in alive.iter().zip(maps) {
+                    by_anchor[i] = Some(map);
+                }
+                crate::likelihood::weighted_joint(corrected, spec, |i| {
+                    by_anchor[i]
+                        .take()
+                        .unwrap_or_else(|| self.kernel.anchor_map(&inputs, i, combining, 1))
+                })
+            } else {
+                crate::likelihood::weighted_joint(corrected, spec, |i| {
+                    self.kernel.anchor_map(&inputs, i, combining, self.threads)
+                })
             }
-            crate::likelihood::weighted_joint(corrected, spec, |i| {
-                by_anchor[i]
-                    .take()
-                    .unwrap_or_else(|| self.kernel.anchor_map(&inputs, i, combining, 1))
-            })
-        } else {
-            crate::likelihood::weighted_joint(corrected, spec, |i| {
-                self.kernel.anchor_map(&inputs, i, combining, self.threads)
-            })
-        };
-        self.release_soa(soa);
+        });
         // One kernel pass per alive anchor: the unit every dense-vs-
         // hierarchical reduction gate and per-round soak report counts.
         bloc_obs::counter("engine.cells_evaluated").add((spec.len() * alive.len()) as u64);

@@ -20,8 +20,8 @@
 //!    picks up to [`HierarchicalConfig::max_candidates`] candidate lobes.
 //!    No fallback prior enters candidate selection: a supervised session
 //!    refines a degraded hierarchical fix on the estimate's own surface
-//!    (this coarse selection surface on full-flow rounds, the fine patch
-//!    on seeded rounds) under the same fusion policy as
+//!    (this coarse selection surface — the whole grid, or the seed
+//!    window on seeded rounds) under the same fusion policy as
 //!    [`crate::localizer::BlocLocalizer::localize_with_fallback`].
 //! 2. **Fine** — an index-aligned patch of the native grid around each
 //!    candidate, sized so a true peak's dominance neighborhood *and*
@@ -42,11 +42,12 @@
 //! rather than degrade accuracy — see [`EscapeReason`]. Dense escapes
 //! run the dense pipeline's own fix assembly.
 //!
-//! [`HierarchicalLocalizer::localize_seeded`] is the tracking fast path:
-//! one fine patch around the tracker's prediction, no coarse sweep at
-//! all, with typed escapes back to the full coarse→fine flow whenever the
-//! patch cannot be trusted (peak on the patch border, no local peak, or a
-//! patch so large the hierarchy is cheaper).
+//! [`HierarchicalLocalizer::localize_seeded`] is the tracking round: the
+//! same coarse→fine search with the coarse level restricted to a window
+//! around the tracker's prediction (the full flow is its whole-grid
+//! window), with typed escapes back to the whole grid whenever the window
+//! cannot be trusted (coarse peak on the window border, or no candidate
+//! or scored peak).
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
@@ -82,10 +83,6 @@ pub struct HierarchicalConfig {
     /// Below this many fine cells the hierarchy cannot win: localize
     /// densely (recorded as [`EscapeReason::SmallGrid`]).
     pub small_grid_cells: usize,
-    /// A seeded patch covering at least this fraction of the fine grid
-    /// escapes to the full coarse→fine flow instead (the hierarchy is
-    /// already cheaper at that size).
-    pub seed_escape_fraction: f64,
     /// Resident-byte budget installed on the engine's steering cache.
     /// The hierarchy caches one geometry per (level, comb, anchor set);
     /// fine patches read the fine level's tables in place and add none.
@@ -103,7 +100,6 @@ impl Default for HierarchicalConfig {
             coarse_min_rel_height: 0.4,
             coarse_dominance_radius: 1,
             small_grid_cells: 2048,
-            seed_escape_fraction: 0.35,
             cache_budget_bytes: Some(256 << 20),
         }
     }
@@ -116,14 +112,12 @@ pub enum EscapeReason {
     /// The fine grid is at most [`HierarchicalConfig::small_grid_cells`]:
     /// localized densely.
     SmallGrid,
-    /// A seeded patch reached [`HierarchicalConfig::seed_escape_fraction`]
-    /// of the fine grid: the full coarse→fine flow ran instead.
-    PatchTooLarge,
-    /// The seeded patch held no usable local maximum: the tag is not
-    /// where the seed claimed.
+    /// The seed window yielded no coarse candidate or no scored peak: the
+    /// tag is not where the seed claimed.
     NoLocalPeak,
-    /// The seeded patch's best peak sat against the patch border, so its
-    /// local-max status is unverified — the true peak may lie outside.
+    /// The seed window's coarse joint peaked on the window border: the
+    /// likelihood rises out of the window, so the true peak may lie
+    /// outside it.
     PeakAtBoundary,
     /// Fine refinement lost every candidate; the full dense sweep ran as
     /// a correctness safety net.
@@ -135,7 +129,6 @@ impl EscapeReason {
     pub fn reason(&self) -> &'static str {
         match self {
             EscapeReason::SmallGrid => "small_grid",
-            EscapeReason::PatchTooLarge => "patch_too_large",
             EscapeReason::NoLocalPeak => "no_local_peak",
             EscapeReason::PeakAtBoundary => "peak_at_boundary",
             EscapeReason::DenseFallback => "dense_fallback",
@@ -146,7 +139,6 @@ impl EscapeReason {
 fn record_escape(reason: EscapeReason) {
     let name = match reason {
         EscapeReason::SmallGrid => "hier.escape.small_grid",
-        EscapeReason::PatchTooLarge => "hier.escape.patch_too_large",
         EscapeReason::NoLocalPeak => "hier.escape.no_local_peak",
         EscapeReason::PeakAtBoundary => "hier.escape.peak_at_boundary",
         EscapeReason::DenseFallback => "hier.escape.dense_fallback",
@@ -157,9 +149,9 @@ fn record_escape(reason: EscapeReason) {
 /// A fix with its hierarchy cost accounting.
 ///
 /// `estimate.peaks` are indexed on the **fine** grid (positions snapped
-/// to fine cell centres); `estimate.likelihood` is the candidate-selection
-/// surface (coarse) for the full flow, or the fine patch surface for the
-/// seeded fast path.
+/// to fine cell centres); `estimate.likelihood` is the coarse
+/// candidate-selection joint — over the whole coarse grid for the full
+/// flow, over the seed window for a seeded round.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HierarchicalEstimate {
     /// The fix itself, shaped exactly like a dense-pipeline estimate.
@@ -187,17 +179,6 @@ impl HierarchicalEstimate {
             self.dense_cells_evaluated as f64 / self.cells_evaluated as f64
         }
     }
-}
-
-/// An alive anchor's weight and coarse-level normalizer.
-#[derive(Debug, Clone, Copy)]
-struct AliveAnchor {
-    index: usize,
-    weight: f64,
-    /// Maximum of this anchor's likelihood over the coarse grid — the
-    /// shared normalization constant for its fine patches. 0 when the
-    /// coarse stage did not run (seeded fast path).
-    coarse_max: f64,
 }
 
 /// The coarse-to-fine solver. Wraps a [`BlocLocalizer`] (whose grid is
@@ -245,9 +226,14 @@ impl HierarchicalLocalizer {
     /// the fine dominance neighborhood — so a true peak near the
     /// candidate scores on complete windows.
     pub fn refine_half_extent_m(&self) -> f64 {
+        self.coarse.resolution + self.score_margin_m()
+    }
+
+    /// The entropy window plus the fine dominance neighborhood: how far
+    /// past a peak the Eq. 18 score reads.
+    fn score_margin_m(&self) -> f64 {
         let cfg = self.localizer.config();
-        self.coarse.resolution
-            + cfg.score.entropy_radius_m
+        cfg.score.entropy_radius_m
             + (cfg.score.peaks.dominance_radius + 1) as f64 * cfg.grid.resolution
     }
 
@@ -266,7 +252,7 @@ impl HierarchicalLocalizer {
         self.localizer.config().grid.len() <= self.config.small_grid_cells
     }
 
-    /// Coarse-to-fine localization.
+    /// Coarse-to-fine localization over the whole venue.
     ///
     /// # Errors
     ///
@@ -274,22 +260,15 @@ impl HierarchicalLocalizer {
     pub fn localize(&self, data: &SoundingData) -> Result<HierarchicalEstimate, LocalizeError> {
         let _span = bloc_obs::span("hier.localize");
         bloc_obs::counter("hier.localize.calls").inc();
-        let corrected = self.localizer.correct(data)?;
-        BlocLocalizer::record_recovered(&corrected);
-        BlocLocalizer::check_usable(&corrected)?;
-        if self.is_small_grid() {
-            record_escape(EscapeReason::SmallGrid);
-            return self.dense_estimate(data, &corrected, EscapeReason::SmallGrid, 0);
-        }
-        self.refine_full(data, &corrected)
+        self.localize_in(data, None)
     }
 
-    /// Tracking fast path: one fine patch of half-extent `radius_m`
-    /// (plus scoring margins) around `seed` — typically the tracker's
-    /// prediction with its gate radius. No coarse sweep runs unless the
-    /// patch cannot be trusted, in which case the solver escapes to the
-    /// full coarse→fine flow and says so in the returned
-    /// [`HierarchicalEstimate::escape`].
+    /// Tracking round: the coarse→fine flow of [`Self::localize`] with
+    /// its coarse level restricted to a window of half-extent `radius_m`
+    /// (plus the scoring margin) around `seed` — typically the tracker's
+    /// prediction and gate radius. A window that cannot be trusted
+    /// escapes to the whole-venue flow, and the returned
+    /// [`HierarchicalEstimate::escape`] says why.
     ///
     /// # Errors
     ///
@@ -302,118 +281,90 @@ impl HierarchicalLocalizer {
     ) -> Result<HierarchicalEstimate, LocalizeError> {
         let _span = bloc_obs::span("hier.localize_seeded");
         bloc_obs::counter("hier.localize.seeded").inc();
+        self.localize_in(data, Some((seed, radius_m)))
+    }
+
+    /// Corrects `data` and runs the coarse→fine flow over the whole
+    /// coarse grid, or over the window of a `(seed, radius)` — densely
+    /// when the fine grid is small.
+    fn localize_in(
+        &self,
+        data: &SoundingData,
+        seed: Option<(P2, f64)>,
+    ) -> Result<HierarchicalEstimate, LocalizeError> {
         let corrected = self.localizer.correct(data)?;
         BlocLocalizer::record_recovered(&corrected);
         BlocLocalizer::check_usable(&corrected)?;
-        if self.is_small_grid() {
+        let mut h = if self.is_small_grid() {
             record_escape(EscapeReason::SmallGrid);
-            let mut h = self.dense_estimate(data, &corrected, EscapeReason::SmallGrid, 0)?;
-            h.seeded = true;
-            return Ok(h);
-        }
-        let cfg = self.localizer.config();
-        let fine = cfg.grid;
-        let margin = cfg.score.entropy_radius_m
-            + (cfg.score.peaks.dominance_radius + 1) as f64 * fine.resolution;
-        let patch = fine.patch(seed, radius_m.max(0.0) + margin);
-        let escape_cells = ((self.config.seed_escape_fraction * fine.len() as f64) as usize).max(1);
-        if patch.spec.len() >= escape_cells {
-            return self.escape_to_full(data, &corrected, EscapeReason::PatchTooLarge, 0);
-        }
-        let alive: Vec<AliveAnchor> = anchor_weights(&corrected)
-            .iter()
-            .enumerate()
-            .filter(|(_, &w)| w > 0.0)
-            .map(|(index, &weight)| AliveAnchor {
-                index,
-                weight,
-                coarse_max: 0.0,
-            })
-            .collect();
-        let mut cells = 0usize;
-        // Patch-local normalization: exactly the weighted-joint contract
-        // evaluated on the patch spec, so a seeded fix equals a dense fix
-        // whose grid *is* the patch.
-        let joint = self.level_joint(&corrected, &patch, &alive, false, &mut cells);
-        let Some((ax, ay, max_v)) = joint.argmax() else {
-            return self.escape_to_full(data, &corrected, EscapeReason::NoLocalPeak, cells);
+            self.dense_estimate(data, &corrected, EscapeReason::SmallGrid, 0)?
+        } else {
+            // A lobe at the radius keeps its Eq. 18 entropy window and
+            // dominance neighborhood inside the window, so only a
+            // likelihood still rising at the edge trips the border escape.
+            let window = match seed {
+                Some((p, r)) => self.coarse.patch(p, r.max(0.0) + self.score_margin_m()),
+                None => GridPatch::whole(self.coarse),
+            };
+            self.refine(data, &corrected, window)?
         };
-        if max_v <= 0.0 {
-            return self.escape_to_full(data, &corrected, EscapeReason::NoLocalPeak, cells);
-        }
-        let keep = self.keep_dist();
-        if patch.interior_border_dist(&fine, ax, ay) < keep {
-            return self.escape_to_full(data, &corrected, EscapeReason::PeakAtBoundary, cells);
-        }
-        let kept: Vec<Peak> = find_peaks(&joint, &cfg.score.peaks)
-            .into_iter()
-            .filter(|p| patch.interior_border_dist(&fine, p.ix, p.iy) >= keep)
-            .collect();
-        if kept.is_empty() {
-            return self.escape_to_full(data, &corrected, EscapeReason::NoLocalPeak, cells);
-        }
-        let background = bloc_num::stats::median(joint.data());
-        let anchor_refs: Vec<P2> = data.anchors.iter().map(|a| a.center()).collect();
-        let scored: Vec<ScoredPeak> =
-            score_candidates(&joint, &kept, &anchor_refs, &cfg.score, background, max_v)
-                .into_iter()
-                .map(|s| remap_to_parent(s, &patch, fine))
-                .collect();
-        let Some(best) = scored.first() else {
-            return self.escape_to_full(data, &corrected, EscapeReason::NoLocalPeak, cells);
-        };
-        record_scored(&scored);
-        Ok(HierarchicalEstimate {
-            estimate: Estimate::new(
-                best.peak.position,
-                scored,
-                joint,
-                BlocLocalizer::degradation_of(&corrected),
-            ),
-            cells_evaluated: cells,
-            dense_cells_evaluated: fine.len() * alive.len(),
-            candidates_refined: 1,
-            seeded: true,
-            escape: None,
-        })
+        h.seeded = seed.is_some();
+        Ok(h)
     }
 
-    /// The full coarse→fine flow on already-corrected channels.
-    fn refine_full(
+    /// The coarse→fine flow on already-corrected channels, with the
+    /// coarse level evaluated on `window` of the coarse grid: the whole
+    /// grid for [`Self::localize`], the seed window for
+    /// [`Self::localize_seeded`]. A seed window whose coarse joint peaks
+    /// on its border, or which yields no candidate or no scored peak,
+    /// escapes to the whole grid.
+    fn refine(
         &self,
         data: &SoundingData,
         corrected: &CorrectedChannels,
+        window: GridPatch,
     ) -> Result<HierarchicalEstimate, LocalizeError> {
         let cfg = self.localizer.config();
         let fine = cfg.grid;
-        let mut cells = 0usize;
-
-        // Coarse level: per-anchor maps, their maxima (the fine-patch
-        // normalizers), and the weighted joint under the dense contract.
-        let mut alive: Vec<AliveAnchor> = Vec::new();
-        let mut coarse_joint = Grid2D::zeros(self.coarse);
-        for (index, &weight) in anchor_weights(corrected).iter().enumerate() {
-            if weight <= 0.0 {
-                continue;
+        let engine = self.localizer.engine();
+        let whole = window.spec.len() == self.coarse.len();
+        // A distrusted seed window re-runs the whole grid; the estimate
+        // keeps the window's cells and says why it escaped.
+        let escape = |reason: EscapeReason, cells: usize| {
+            record_escape(reason);
+            let mut h = self.refine(data, corrected, GridPatch::whole(self.coarse))?;
+            h.cells_evaluated += cells;
+            h.escape = Some(reason);
+            Ok(h)
+        };
+        let lost = |cells: usize| {
+            if whole {
+                Err(LocalizeError::NoPeak)
+            } else {
+                escape(EscapeReason::NoLocalPeak, cells)
             }
-            let mut map = self.localizer.engine().anchor_likelihood(
-                corrected,
-                index,
-                self.coarse,
-                cfg.combining,
-            );
-            cells += self.coarse.len();
-            let coarse_max = map.argmax().map(|(_, _, v)| v).unwrap_or(0.0);
-            map.normalize_peak();
-            map.scale(weight);
-            coarse_joint.add_assign(&map);
-            alive.push(AliveAnchor {
-                index,
-                weight,
-                coarse_max,
-            });
-        }
+        };
+
+        // Coarse level: per-anchor maps over the window, their maxima (the
+        // fine-patch normalizers), and the weighted joint under the dense
+        // contract.
+        let weights = anchor_weights(corrected);
+        let alive: Vec<usize> = (0..weights.len()).filter(|&i| weights[i] > 0.0).collect();
+        let maps =
+            engine.window_likelihoods(corrected, self.coarse, &[window], &alive, cfg.combining);
+        let mut cells = window.spec.len() * alive.len();
+        let scales: Vec<(f64, f64)> = alive
+            .iter()
+            .zip(&maps)
+            .map(|(&i, map)| (weights[i], map.argmax().map_or(0.0, |(_, _, v)| v)))
+            .collect();
+        let coarse_joint = weighted_sum(window.spec, maps, &scales);
         let dense_cells = fine.len() * alive.len();
+        if let Some((ax, ay, _)) = coarse_joint.argmax() {
+            if window.interior_border_dist(&self.coarse, ax, ay) < 1 {
+                return escape(EscapeReason::PeakAtBoundary, cells);
+            }
+        }
 
         // Candidate selection on the coarse joint.
         let candidates = find_peaks(
@@ -425,26 +376,36 @@ impl HierarchicalLocalizer {
             },
         );
         if candidates.is_empty() {
-            return Err(LocalizeError::NoPeak);
+            return lost(cells);
         }
 
-        // Fine level: an index-aligned patch per candidate, normalized by
-        // the coarse maxima so all patches share one scale.
+        // Fine level: an index-aligned patch around each candidate's
+        // coarse cell, normalized by the coarse maxima so all patches
+        // share one scale.
         let half = self.refine_half_extent_m();
-        let mut patches: Vec<(GridPatch, Grid2D)> = Vec::with_capacity(candidates.len());
-        for c in &candidates {
-            let patch = fine.patch(c.position, half);
-            let joint = self.level_joint(corrected, &patch, &alive, true, &mut cells);
-            patches.push((patch, joint));
-        }
-        bloc_obs::counter("hier.candidates").add(patches.len() as u64);
-
-        let max_v = patches
+        let windows: Vec<GridPatch> = candidates
             .iter()
-            .filter_map(|(_, j)| j.argmax().map(|(_, _, v)| v))
+            .map(|c| {
+                let (ix, iy) = window.to_parent(c.ix, c.iy);
+                fine.patch(self.coarse.cell_center(ix, iy), half)
+            })
+            .collect();
+        let mut maps = engine
+            .window_likelihoods(corrected, fine, &windows, &alive, cfg.combining)
+            .into_iter();
+        cells += windows.iter().map(|w| w.spec.len()).sum::<usize>() * alive.len();
+        let joints: Vec<Grid2D> = windows
+            .iter()
+            .map(|w| weighted_sum(w.spec, maps.by_ref().take(alive.len()), &scales))
+            .collect();
+        bloc_obs::counter("hier.candidates").add(windows.len() as u64);
+
+        let max_v = joints
+            .iter()
+            .filter_map(|j| j.argmax().map(|(_, _, v)| v))
             .fold(0.0f64, f64::max);
         if max_v <= 0.0 {
-            return Err(LocalizeError::NoPeak);
+            return lost(cells);
         }
 
         // Finest-level-only Eq. 18 scoring, against venue-global
@@ -456,7 +417,7 @@ impl HierarchicalLocalizer {
         let floor = cfg.score.peaks.min_rel_height * max_v;
         let mut merged: Vec<ScoredPeak> = Vec::new();
         let mut taken: HashSet<(usize, usize)> = HashSet::new();
-        for (patch, joint) in &patches {
+        for (patch, joint) in windows.iter().zip(&joints) {
             let kept: Vec<Peak> = find_peaks(
                 joint,
                 &PeakOptions {
@@ -485,6 +446,9 @@ impl HierarchicalLocalizer {
         });
         merged.truncate(cfg.score.peaks.max_peaks);
         let Some(best) = merged.first() else {
+            if !whole {
+                return escape(EscapeReason::NoLocalPeak, cells);
+            }
             // Refinement lost every candidate: correctness beats speed.
             record_escape(EscapeReason::DenseFallback);
             return self.dense_estimate(data, corrected, EscapeReason::DenseFallback, cells);
@@ -499,66 +463,10 @@ impl HierarchicalLocalizer {
             ),
             cells_evaluated: cells,
             dense_cells_evaluated: dense_cells,
-            candidates_refined: patches.len(),
+            candidates_refined: windows.len(),
             seeded: false,
             escape: None,
         })
-    }
-
-    /// The weighted joint over one fine-grid patch, each anchor's map read
-    /// in place from the fine grid's cached steering tables (a patch
-    /// builds no tables of its own). With `coarse_norms`, each alive
-    /// anchor's map is scaled by `weight / coarse_max` (the shared
-    /// cross-patch normalization); without, by `weight / patch_max`
-    /// (exactly [`crate::likelihood::weighted_joint`] on the patch).
-    fn level_joint(
-        &self,
-        corrected: &CorrectedChannels,
-        patch: &GridPatch,
-        alive: &[AliveAnchor],
-        coarse_norms: bool,
-        cells: &mut usize,
-    ) -> Grid2D {
-        let cfg = self.localizer.config();
-        let mut joint = Grid2D::zeros(patch.spec);
-        for a in alive {
-            let mut map = self.localizer.engine().anchor_likelihood_window(
-                corrected,
-                a.index,
-                cfg.grid,
-                *patch,
-                cfg.combining,
-            );
-            *cells += patch.spec.len();
-            if coarse_norms {
-                if a.coarse_max > 0.0 {
-                    map.scale(1.0 / a.coarse_max);
-                }
-            } else {
-                map.normalize_peak();
-            }
-            map.scale(a.weight);
-            joint.add_assign(&map);
-        }
-        joint
-    }
-
-    /// Full-flow escape from the seeded path: runs the coarse→fine flow
-    /// and stamps the estimate with the escape provenance and the cells
-    /// already spent on the abandoned patch.
-    fn escape_to_full(
-        &self,
-        data: &SoundingData,
-        corrected: &CorrectedChannels,
-        reason: EscapeReason,
-        prespent: usize,
-    ) -> Result<HierarchicalEstimate, LocalizeError> {
-        record_escape(reason);
-        let mut h = self.refine_full(data, corrected)?;
-        h.cells_evaluated += prespent;
-        h.seeded = true;
-        h.escape = Some(reason);
-        Ok(h)
     }
 
     /// The dense fine sweep, dressed as a hierarchical estimate — the
@@ -585,6 +493,27 @@ impl HierarchicalLocalizer {
             escape: Some(escape),
         })
     }
+}
+
+/// The weighted joint of one window's per-anchor maps, each scaled by
+/// its `(weight, coarse_max)`: first by `1 / coarse_max` — the anchor's
+/// maximum over the coarse window, so on that level exactly the dense
+/// `normalize_peak` contract, and on the fine level the one normalizer
+/// every patch shares — then by its weight.
+fn weighted_sum(
+    spec: GridSpec,
+    maps: impl IntoIterator<Item = Grid2D>,
+    scales: &[(f64, f64)],
+) -> Grid2D {
+    let mut joint = Grid2D::zeros(spec);
+    for (mut map, &(weight, coarse_max)) in maps.into_iter().zip(scales) {
+        if coarse_max > 0.0 {
+            map.scale(1.0 / coarse_max);
+        }
+        map.scale(weight);
+        joint.add_assign(&map);
+    }
+    joint
 }
 
 /// Rebases a patch-local scored peak onto the parent grid, snapping the
@@ -717,7 +646,7 @@ mod tests {
         );
         assert!(
             h.cells_evaluated * 4 < h.dense_cells_evaluated,
-            "seeded patch spent {} of dense {}",
+            "seeded round spent {} of dense {}",
             h.cells_evaluated,
             h.dense_cells_evaluated
         );
@@ -747,17 +676,25 @@ mod tests {
     }
 
     #[test]
-    fn oversized_seed_radius_escapes_patch_too_large() {
-        let (room, anchors, env) = room_setup(true);
+    fn whole_venue_seed_window_equals_full_flow() {
+        // A seed radius covering the venue makes the seed window the whole
+        // coarse grid: the seeded round *is* the full flow.
+        let (room, anchors, env) = room_setup(false);
         let sounder = mk_sounder(&env, &anchors);
         let dense = BlocLocalizer::new(BlocConfig::for_room(&room));
         let hier = HierarchicalLocalizer::new(dense, HierarchicalConfig::default());
         let mut rng = StdRng::seed_from_u64(55);
         let data = sounder.sound(P2::new(2.0, 2.0), &all_data_channels(), &mut rng);
-        let h = hier
+        let full = hier.localize(&data).unwrap();
+        let seeded = hier
             .localize_seeded(&data, P2::new(2.0, 2.0), 50.0)
             .unwrap();
-        assert_eq!(h.escape, Some(EscapeReason::PatchTooLarge));
+        assert!(seeded.seeded && !full.seeded);
+        assert_eq!(seeded.escape, full.escape);
+        assert_eq!(seeded.estimate.position, full.estimate.position);
+        assert_eq!(seeded.estimate.peaks, full.estimate.peaks);
+        assert_eq!(seeded.cells_evaluated, full.cells_evaluated);
+        assert_eq!(seeded.candidates_refined, full.candidates_refined);
     }
 
     #[test]

@@ -132,8 +132,8 @@ impl Estimate {
     /// list (`localize_shortest_distance` / `localize_argmax`). The margin
     /// is read off the peaks of the surface the fix was finally scored on:
     /// after fallback-prior refinement that is the fused surface — for a
-    /// full-flow hierarchical fix, the 48 cm coarse selection surface,
-    /// for a seeded one the fine patch — and for a fallback-only fix the
+    /// hierarchical fix, the 48 cm coarse selection surface (the seed
+    /// window on a seeded round) — and for a fallback-only fix the
     /// fallback surface.
     pub fn confidence(&self) -> f64 {
         match self.peaks.as_slice() {
@@ -475,10 +475,10 @@ impl BlocLocalizer {
     /// *identical* pure-CSI estimate. Otherwise the stack's priors are
     /// evaluated against `prior_basis` on the estimate's own likelihood
     /// spec (the fine grid for a dense fix, the coarse selection surface
-    /// or seeded patch for a hierarchical one) and blended in by
-    /// [`Self::refine_with_priors`]. `prior_basis` is the full-deployment
-    /// sounding when `data` is an anchor subset (the fingerprint feature
-    /// shape is fixed at survey time), else `data`.
+    /// — whole grid or seed window — for a hierarchical one) and blended
+    /// in by [`Self::refine_with_priors`]. `prior_basis` is the
+    /// full-deployment sounding when `data` is an anchor subset (the
+    /// fingerprint feature shape is fixed at survey time), else `data`.
     pub(crate) fn fuse_fallback(
         &self,
         est: Estimate,

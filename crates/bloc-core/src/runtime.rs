@@ -205,8 +205,9 @@ pub struct RuntimeConfig {
     /// no track); `None` (the default) keeps the dense solver. No prior
     /// enters hierarchical candidate selection: a degraded fix is refined
     /// with fallback priors on the estimate's own surface (the coarse
-    /// selection surface on full-flow rounds, the fine patch on seeded
-    /// rounds), and a fallback-only round estimates on the coarse grid.
+    /// selection joint — the whole coarse grid on full-flow rounds, the
+    /// seed window on seeded rounds, which are windowed coarse→fine
+    /// searches), and a fallback-only round estimates on the coarse grid.
     pub hierarchical: Option<crate::hierarchical::HierarchicalConfig>,
     /// Resident capacity of the breaker-transition ledger. Older entries
     /// are evicted and counted ([`SessionSupervisor::breaker_ledger`]'s

@@ -430,9 +430,9 @@ impl TrackingPipeline {
     }
 
     /// Enables the hierarchical coarse-to-fine solver: rounds with a live
-    /// track localize on a fine patch seeded at the track prediction
-    /// (bounded by [`Tracker::search_radius`]); rounds without one run
-    /// the full coarse→fine flow. The hierarchical localizer shares this
+    /// track run the coarse→fine search in a window around the track
+    /// prediction (bounded by [`Tracker::search_radius`]); rounds without
+    /// one run it over the whole venue. The hierarchical localizer shares this
     /// pipeline's engine and steering cache.
     pub fn with_hierarchical(mut self, config: crate::hierarchical::HierarchicalConfig) -> Self {
         self.hier = Some(crate::hierarchical::HierarchicalLocalizer::new(

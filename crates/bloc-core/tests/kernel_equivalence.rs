@@ -515,16 +515,19 @@ fn window_maps_are_the_dense_map_restricted_bit_for_bit() {
                 LikelihoodEngine::recurrence().anchor_likelihood(corrected, i, spec, combining)
             })
             .collect();
+        let (names, wins): (Vec<_>, Vec<_>) = windows(spec).into_iter().unzip();
+        let anchors: Vec<usize> = (0..corrected.n_anchors()).collect();
         for threads in [1, 2, 4] {
             let engine = LikelihoodEngine::recurrence().with_threads(threads);
-            for (name, window) in windows(spec) {
-                for (i, full) in dense.iter().enumerate() {
-                    let map =
-                        engine.anchor_likelihood_window(corrected, i, spec, window, combining);
-                    let expect = full.extract(&window);
+            // Every window × anchor in one batch, window-major.
+            let maps = engine.window_likelihoods(corrected, spec, &wins, &anchors, combining);
+            assert_eq!(maps.len(), wins.len() * anchors.len(), "{case}");
+            for ((name, window), row) in names.iter().zip(&wins).zip(maps.chunks(anchors.len())) {
+                for (i, (map, full)) in row.iter().zip(&dense).enumerate() {
+                    let expect = full.extract(window);
                     assert_eq!(map.spec(), window.spec, "{case} {name}");
                     assert_eq!(
-                        bits(&map),
+                        bits(map),
                         bits(&expect),
                         "{case} {name} anchor {i} threads {threads}"
                     );
@@ -548,7 +551,9 @@ fn reference_kernel_windows_evaluate_parent_cell_centres() {
         let engine = LikelihoodEngine::reference().with_threads(threads);
         for (name, window) in windows(spec) {
             for i in 0..corrected.n_anchors() {
-                let map = engine.anchor_likelihood_window(&corrected, i, spec, window, combining);
+                let map = engine
+                    .window_likelihoods(&corrected, spec, &[window], &[i], combining)
+                    .remove(0);
                 assert_eq!(map.spec(), window.spec);
                 for iy in 0..window.spec.ny {
                     for ix in 0..window.spec.nx {

@@ -124,8 +124,8 @@ impl GridSpec {
         let cy = clamp_axis(center.y, self.origin.y, self.ny);
         let x0 = cx.saturating_sub(r);
         let y0 = cy.saturating_sub(r);
-        let x1 = (cx + r + 1).min(self.nx);
-        let y1 = (cy + r + 1).min(self.ny);
+        let x1 = cx.saturating_add(r).saturating_add(1).min(self.nx);
+        let y1 = cy.saturating_add(r).saturating_add(1).min(self.ny);
         GridPatch {
             spec: GridSpec {
                 origin: P2::new(
@@ -684,6 +684,9 @@ mod tests {
         // Degenerate half-extent: the single containing cell.
         let r = s.patch(s.cell_center(7, 4), 0.0);
         assert_eq!((r.x0, r.y0, r.spec.nx, r.spec.ny), (7, 4, 1, 1));
+        // Unbounded half-extent: the whole grid, no index overflow.
+        let w = s.patch(s.cell_center(7, 4), f64::INFINITY);
+        assert_eq!((w.x0, w.y0, w.spec.nx, w.spec.ny), (0, 0, 20, 10));
     }
 
     #[test]

@@ -20,7 +20,16 @@ use bloc_core::{BlocConfig, BlocLocalizer, HierarchicalConfig, HierarchicalLocal
 use bloc_num::P2;
 use bloc_testbed::scenario::{standard_anchors, Scenario};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
+use std::sync::{Mutex, MutexGuard};
+
+/// Serializes this suite's tests: the sampled cost test reconciles each
+/// round with the process-wide `engine.cells_evaluated` counter, which
+/// any concurrently running localization would also advance.
+fn serial() -> MutexGuard<'static, ()> {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 /// Test-suite hierarchy config: `small_grid_cells: 0` disables the
 /// small-grid dense escape so even compact test rooms exercise the
@@ -48,6 +57,7 @@ fn one_cell(config: &BlocConfig) -> f64 {
 
 #[test]
 fn randomized_rooms_match_dense_within_one_cell() {
+    let _serial = serial();
     for seed in [1u64, 2, 3] {
         let mut rng = StdRng::seed_from_u64(seed);
         let room = Room::new(4.0 + seed as f64 * 0.9, 5.0 + (seed % 2) as f64 * 1.4);
@@ -84,6 +94,7 @@ fn randomized_rooms_match_dense_within_one_cell() {
 
 #[test]
 fn clean_room_is_bit_identical_to_dense() {
+    let _serial = serial();
     // Free space, no phase error: the coarse argmax is unambiguous, so
     // the contract sharpens from "within one cell" to exact equality —
     // the hierarchy snaps candidates to fine cell centres, so agreeing
@@ -114,6 +125,7 @@ fn clean_room_is_bit_identical_to_dense() {
 
 #[test]
 fn corridor_matches_dense_and_is_cheaper() {
+    let _serial = serial();
     let s = Scenario::corridor(11);
     let config = s.bloc_config().with_resolution(0.16);
     let (dense, hier) = pair(config, 1);
@@ -142,6 +154,7 @@ fn corridor_matches_dense_and_is_cheaper() {
 
 #[test]
 fn multi_room_matches_dense_through_interior_walls() {
+    let _serial = serial();
     let s = Scenario::multi_room(5);
     let config = s.bloc_config().with_resolution(0.16);
     let (dense, hier) = pair(config, 1);
@@ -166,6 +179,7 @@ fn multi_room_matches_dense_through_interior_walls() {
 
 #[test]
 fn faulted_soundings_keep_parity_and_degradation() {
+    let _serial = serial();
     // Packet loss, a scheduled dropout and a dead RF chain: the hierarchy
     // corrects the same sounding once, so its DegradationReport must be
     // *equal* to the dense pipeline's, and the fix still lands within a
@@ -211,6 +225,7 @@ fn faulted_soundings_keep_parity_and_degradation() {
 
 #[test]
 fn fix_is_bit_identical_across_thread_counts() {
+    let _serial = serial();
     let s = Scenario::corridor(7);
     let config = s.bloc_config().with_resolution(0.24);
     let sounder = s.sounder(SounderConfig::default());
@@ -238,6 +253,7 @@ fn fix_is_bit_identical_across_thread_counts() {
 
 #[test]
 fn seeded_rounds_stay_below_a_tenth_of_dense() {
+    let _serial = serial();
     // A tag walking down the corridor: after the first full coarse→fine
     // fix, every seeded round must cost ≤ 10% of a dense sweep and stay
     // on the fast path (no escapes).
@@ -288,6 +304,7 @@ fn seeded_rounds_stay_below_a_tenth_of_dense() {
 
 #[test]
 fn walking_rounds_build_no_steering_tables_after_the_first_fix() {
+    let _serial = serial();
     // Every fine patch is a window into the fine grid's own steering
     // tables, so once the first full-flow fix has built the coarse and
     // fine tables, a walk of seeded and full-flow rounds at fresh
@@ -326,4 +343,75 @@ fn walking_rounds_build_no_steering_tables_after_the_first_fix() {
         assert_eq!(cache.len(), 2, "round {round}: resident entries");
         last = fix.estimate.position;
     }
+}
+
+#[test]
+fn sampled_seeded_rounds_never_cost_more_than_the_full_flow() {
+    let _serial = serial();
+    // Seeded rounds over sampled (tag, seed offset, radius) draws — not a
+    // hand-picked radius. A round that stays on its seed window must cost
+    // no more than the full flow's worst case (the whole coarse grid plus
+    // every candidate's unclipped fine patch, per alive anchor), and every
+    // round, escaped or not, must reconcile exactly with the
+    // `engine.cells_evaluated` counter.
+    let s = Scenario::corridor(29);
+    let config = s.bloc_config().with_resolution(0.16);
+    let (_, hier) = pair(config, 1);
+    let fine = config.grid;
+    let patch_cells = fine
+        .patch(
+            P2::new(s.room.width / 2.0, s.room.height / 2.0),
+            hier.refine_half_extent_m(),
+        )
+        .spec
+        .len();
+    let full_flow_worst = hier.coarse_spec().len() + hier.config().max_candidates * patch_cells;
+    let sounder = s.sounder(SounderConfig::default());
+    let mut rng = StdRng::seed_from_u64(101);
+
+    let mut windowed = 0;
+    for draw in 0..60 {
+        let tag = P2::new(
+            rng.gen_range(0.5..s.room.width - 0.5),
+            rng.gen_range(0.5..s.room.height - 0.5),
+        );
+        let (offset, angle) = (
+            rng.gen_range(0.0..2.0),
+            rng.gen_range(0.0..std::f64::consts::TAU),
+        );
+        let seed = tag + P2::new(offset * angle.cos(), offset * angle.sin());
+        let radius = rng.gen_range(0.5..5.0);
+        let data = sounder.sound(tag, &all_data_channels(), &mut rng);
+
+        let before = bloc_obs::Registry::global().snapshot();
+        let est = hier
+            .localize_seeded(&data, seed, radius)
+            .expect("seeded fix");
+        let counted = bloc_obs::Registry::global()
+            .snapshot()
+            .diff(&before)
+            .counters
+            .get("engine.cells_evaluated")
+            .copied()
+            .unwrap_or(0);
+        assert_eq!(
+            counted, est.cells_evaluated as u64,
+            "draw {draw}: counter delta vs the estimate's accounting"
+        );
+        assert!(est.seeded);
+        if est.escape.is_none() {
+            windowed += 1;
+            let alive = est.dense_cells_evaluated / fine.len();
+            assert!(
+                est.cells_evaluated <= alive * full_flow_worst,
+                "draw {draw} (tag {tag}, seed {seed}, radius {radius:.2} m): {} cells > full-flow worst case {}",
+                est.cells_evaluated,
+                alive * full_flow_worst
+            );
+        }
+    }
+    assert!(
+        windowed >= 50,
+        "only {windowed} of 60 draws stayed on their seed window"
+    );
 }
