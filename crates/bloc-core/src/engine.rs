@@ -8,16 +8,19 @@
 //! three optimizations on top, each independently verified against the
 //! reference (see `tests/kernel_equivalence.rs`):
 //!
-//! 1. **Phasor recurrence**: BLE's data channels sit on a uniform 2 MHz
+//! 1. **Comb polynomial**: BLE's data channels sit on a uniform 2 MHz
 //!    comb, so `f_k = f_base + n_k·s` with integer `n_k`, and
-//!    `e^{ι2πf_kΔ/c} = e^{ι2πf_baseΔ/c} · (e^{ι2πsΔ/c})^{n_k}` —
-//!    two `cis` calls per (cell, antenna) seed a complex-rotation
-//!    recurrence across all bands. The identity is *exact* (no small-angle
-//!    approximation); [`BandPlan`] detects the comb and the kernel falls
-//!    back to per-band `cis` when surviving bands don't sit on one. The
-//!    recurrence itself lives in [`bloc_num::sweep`] — one SIMD
-//!    implementation shared with the channel synthesizer — and
-//!    [`RecurrenceKernel`] is the thin adapter that feeds it.
+//!    `e^{ι2πf_kΔ/c} = e^{ι2πf_baseΔ/c} · z^{n_k}` with the comb step
+//!    `z = e^{ι2πsΔ/c}`. Each (cell, antenna) band sum is therefore
+//!    `seed · Σ_k α_k z^{n_k}`, a polynomial in `z` that Horner's rule
+//!    evaluates at one complex multiply-add per band, after two `cis`
+//!    calls per (cell, antenna) that the steering cache makes once. The
+//!    identity is *exact* (no small-angle approximation); [`BandPlan`]
+//!    detects the comb and the kernel falls back to per-band `cis` when
+//!    surviving bands don't sit on one. The kernel itself lives in
+//!    [`bloc_num::sweep`] — one SIMD implementation shared with the
+//!    channel synthesizer — and [`RecurrenceKernel`] is the thin adapter
+//!    that feeds it.
 //! 2. **SoA layout + geometry cache**: [`SoaChannels`] re-packs the
 //!    per-band `alpha[i][j]` tensor into the kernel's split re/im
 //!    lane-padded layout, and [`SteeringCache`] memoizes the per-cell
@@ -70,7 +73,7 @@ fn combine_of(combining: AntennaCombining) -> Combine {
 /// re/im row-major tensors padded to the 4-wide lane stride
 /// (`alpha_re[i][row·n_lanes[i] + j]`, padding lanes exactly zero so
 /// they contribute nothing). All antennas of a row sit adjacent, so the
-/// kernel advances every antenna's rotation chain in lockstep — one SIMD
+/// kernel advances every antenna's Horner chain in lockstep — one SIMD
 /// lane per antenna.
 ///
 /// On a uniform comb whose occupied slots nearly fill its span (the BLE
@@ -78,9 +81,11 @@ fn combine_of(combining: AntennaCombining) -> Combine {
 /// advertising channel), rows are laid out per **absolute comb slot**
 /// with all-zero rows at the holes. The zero rows cost one multiply-add
 /// each but let the kernel walk a gapless comb, which engages its
-/// two-chain dense recurrence — worth far more than the holes cost.
+/// even/odd two-chain Horner walk — worth far more than the holes cost.
 /// Sparse survivor sets (heavy dropout) and off-comb bands keep the
-/// compact planned-order layout.
+/// compact planned-order layout. [`SoaChannels::rebuild`] makes this
+/// choice once per sounding and hands it to the kernel as
+/// [`CellSweep::dense`].
 #[derive(Debug, Clone)]
 pub struct SoaChannels {
     /// The band walk shared by every slice.
@@ -94,7 +99,7 @@ pub struct SoaChannels {
     /// Imaginary parts, same indexing.
     alpha_im: Vec<Vec<f64>>,
     /// True when alpha rows are absolute comb slots (holes zero-filled)
-    /// rather than planned-band order.
+    /// rather than planned-band order — the kernel's dense walk.
     slot_rows: bool,
     /// The slot advances handed to the kernel — `[0, 1, 1, …]` over the
     /// span under slot layout, [`CombPlan::gaps`] otherwise.
@@ -211,7 +216,7 @@ impl SoaChannels {
 /// band-comb) triple: the relative distances
 /// `Δ_ij(x) = d_ij(x) − d_00(x) − d^{i0}_{00}` of Eq. 14 for every cell
 /// and every (anchor, antenna), plus — when the surviving bands form a
-/// uniform comb — the two phasors the recurrence kernel seeds from them,
+/// uniform comb — the two phasors the sweep kernel starts from,
 /// `e^{ι2πf_baseΔ/c}` and `e^{ι2πsΔ/c}`. Hoisting the phasors into the
 /// cache removes every transcendental call from the steady-state
 /// per-sounding path: the warm kernel is pure complex multiply-adds.
@@ -345,6 +350,7 @@ impl SteeringTables {
             alpha_im: &soa.alpha_im[i],
             n_lanes: self.n_lanes[i],
             gaps: &soa.kernel_gaps,
+            dense: soa.slot_rows,
         }
     }
 
@@ -675,19 +681,22 @@ impl LikelihoodKernel for ReferenceKernel {
     }
 }
 
-/// The phasor-recurrence kernel: a thin adapter over
+/// The comb kernel: a thin adapter over
 /// [`bloc_num::sweep::write_comb_cells`]. Per (cell, antenna) the cached
-/// steering tables hold `e^{ι2πf_baseΔ/c}` and the comb rotation
-/// `e^{ι2πsΔ/c}`; the shared SIMD kernel advances every antenna's chain
-/// in 4-wide lanes across bands by complex multiplication. Off-comb band
-/// sets fall back to per-band `cis` ([`sweep::write_offcomb_cells`]) with
-/// identical combining semantics.
+/// steering tables hold the seed `e^{ι2πf_baseΔ/c}` and the comb step
+/// `z = e^{ι2πsΔ/c}`; the shared SIMD kernel evaluates every antenna's
+/// band sum `seed · Σ_k α_k z^{n_k}` in 4-wide lanes by Horner's rule, one
+/// complex multiply-add per band, two neighbouring cells per pass.
+/// Off-comb band sets fall back to per-band `cis`
+/// ([`sweep::write_offcomb_cells`]) with identical combining semantics.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RecurrenceKernel;
 
-/// Minimum cells per shard before an anchor map fans out: one cell costs
-/// ~150 ns warm, so this keeps each spawn amortized to well under a
-/// percent.
+/// Minimum cells per shard before an anchor map fans out: one cell of a
+/// 4-antenna anchor over the 38-slot BLE comb costs ~90 ns warm on the
+/// two-cell Horner kernel (traced `corridor_track`, 2-core AVX2 host),
+/// so a shard carries at least ~0.37 ms of work and handing it to a
+/// worker stays a small fraction of that.
 const MIN_CELLS_PER_SHARD: usize = 4096;
 
 impl LikelihoodKernel for RecurrenceKernel {

@@ -396,6 +396,7 @@ fn simd_dispatch_paths_are_bit_identical_on_degraded_inputs() {
             alpha_im: &alpha_im,
             n_lanes: nl,
             gaps: &soa.plan.gaps,
+            dense: sweep::gaps_are_dense(&soa.plan.gaps),
         };
         for combine in [Combine::Coherent, Combine::Noncoherent, Combine::Hybrid] {
             let mut baseline = vec![0.0; n_cells];

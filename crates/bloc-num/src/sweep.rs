@@ -5,14 +5,20 @@
 //! Both hot loops in the workspace are the same computation: a phase that
 //! is **linear in frequency** (`φ(f) = w·f` with `w = ±2πd/c`) evaluated
 //! over one sounding's band comb. On BLE's uniform 2 MHz comb the phasor
-//! at band `k` follows from band `k−1` by one exact complex rotation, so
-//! the whole sweep costs two `cis` calls (seed + step) and then pure
-//! multiply-adds. [`CombPlan`] detects the comb once; the two kernels
-//! below walk it:
+//! at band `k` is the base phasor times an integer power of one exact
+//! comb-step phasor, so the whole sweep costs two `cis` calls (seed +
+//! step) and then pure multiply-adds. [`CombPlan`] detects the comb once;
+//! the two kernels below walk it:
 //!
-//! * [`write_comb_cells`] — the likelihood recurrence: SIMD lanes are
-//!   **antenna rotation chains** of one (cell, anchor) pair; each cell
-//!   reduces to the Eq. 17 coherent/non-coherent combining value.
+//! * [`write_comb_cells`] — the likelihood sum: SIMD lanes are the
+//!   **antennas** of one (cell, anchor) pair. A lane's band sum
+//!   `Σ_k α_k·e^{ιw·f_k}` is `seed·P(z)`, a polynomial in the comb step
+//!   `z = e^{ιw·s}` whose coefficients are the channel weights, and
+//!   Horner's rule evaluates it at one complex multiply-add per band —
+//!   on a gapless comb as `E(z²) + z·O(z²)`, two independent chains.
+//!   Two neighbouring cells share each pass over the weights, so four
+//!   chains overlap their multiply latency. Each cell reduces to the
+//!   Eq. 17 coherent/non-coherent combining value.
 //! * [`sweep_tones_into`] — the synthesis recurrence: SIMD lanes are
 //!   **four consecutive comb slots** of one propagation path; all paths
 //!   accumulate into a dense slot buffer that is scattered back to
@@ -22,7 +28,7 @@
 //! implementations and runtime-dispatched ([`simd::active_level`]), so
 //! the scalar fallback and the AVX2 path are bit-identical by
 //! construction. Off-comb band sets fall back to per-band `cis` — still
-//! exact, just not recurrence-accelerated.
+//! exact, just not comb-accelerated.
 
 use crate::complex::{self, C64};
 use crate::simd::{self, Cx4, F64x4, ScalarX4, SimdLevel};
@@ -146,9 +152,7 @@ impl CombPlan {
     /// True when every planned band advances exactly one comb slot (the
     /// BLE 37-channel case): the dense kernels skip the gap loop.
     pub fn is_dense(&self) -> bool {
-        self.is_uniform_comb()
-            && self.gaps.first() == Some(&0)
-            && self.gaps[1..].iter().all(|&g| g == 1)
+        self.is_uniform_comb() && gaps_are_dense(&self.gaps)
     }
 }
 
@@ -169,7 +173,7 @@ pub enum Combine {
 fn combine_value(combine: Combine, coh_re: f64, coh_im: f64, non: f64) -> f64 {
     // `sqrt(re² + im²)` instead of `hypot`: the libm `hypot` guards
     // against overflow the likelihood magnitudes can't reach, and costs
-    // more than the whole 37-band recurrence per cell.
+    // more than the whole 37-band sum per cell.
     let coherent = (coh_re * coh_re + coh_im * coh_im).sqrt();
     match combine {
         Combine::Coherent => coherent,
@@ -179,7 +183,7 @@ fn combine_value(combine: Combine, coh_re: f64, coh_im: f64, non: f64) -> f64 {
 }
 
 /// Borrowed inputs for the likelihood cell kernel: one anchor's steering
-/// phasors (cell-major) and channel weights (slot-major), both padded to
+/// phasors (cell-major) and channel weights (row-major), both padded to
 /// `n_lanes` (a multiple of 4) with neutral lanes — weight 0, phasor 1 —
 /// so padding contributes exact zeros.
 #[derive(Debug, Clone, Copy)]
@@ -188,92 +192,168 @@ pub struct CellSweep<'a> {
     pub seed_re: &'a [f64],
     /// Seed imaginary parts, same indexing.
     pub seed_im: &'a [f64],
-    /// Comb-step rotation real parts, same indexing.
+    /// Comb step `z = e^{ιw·s}` real parts, same indexing.
     pub step_re: &'a [f64],
     /// Step imaginary parts, same indexing.
     pub step_im: &'a [f64],
-    /// Channel weights `α`, `alpha_re[slot·n_lanes + lane]`.
+    /// Channel weights `α`, `alpha_re[row·n_lanes + lane]`.
     pub alpha_re: &'a [f64],
     /// Weight imaginary parts, same indexing.
     pub alpha_im: &'a [f64],
     /// Lane stride — antennas rounded up to a multiple of 4.
     pub n_lanes: usize,
-    /// Comb-slot advances per planned band ([`CombPlan::gaps`]).
+    /// Comb-slot advances per alpha row ([`CombPlan::gaps`]).
     pub gaps: &'a [u32],
+    /// True when `gaps` is `[0, 1, 1, …]` ([`gaps_are_dense`]): every
+    /// row is the next comb slot. The caller that laid the rows out
+    /// decides this once; the kernel then takes its two-chain walk.
+    pub dense: bool,
 }
 
-/// One lane block over a dense comb (every gap after the first is one
-/// slot): two interleaved rotation chains advanced by `step²` halve the
-/// serial complex-multiply latency the pipeline must hide.
+/// True when `gaps` walks a gapless comb, `[0, 1, 1, …]` — the layout
+/// [`CellSweep::dense`] flags.
+pub fn gaps_are_dense(gaps: &[u32]) -> bool {
+    gaps.first() == Some(&0) && gaps[1..].iter().all(|&g| g == 1)
+}
+
+/// Lanes `lane0 .. lane0 + 4` of one alpha row.
 #[inline(always)]
-fn dense_block<V: F64x4>(
-    seed: Cx4<V>,
-    step: Cx4<V>,
+fn load_row<V: F64x4>(re: &[f64], im: &[f64], lane0: usize) -> Cx4<V> {
+    Cx4 {
+        re: V::load(&re[lane0..lane0 + 4]),
+        im: V::load(&im[lane0..lane0 + 4]),
+    }
+}
+
+/// The band sums `Σ_r α_r·z^r` of `K` cells over a gapless comb (`alpha`
+/// holds exactly the comb's rows), by Horner's rule on the even and odd
+/// rows: `E(z²) + z·O(z²)`. Each row costs one complex multiply-add per
+/// cell, and the `2K` chains are independent, so their multiply latencies
+/// overlap. An odd row count leaves the top row unpaired; it starts the
+/// even chain.
+#[inline(always)]
+fn dense_sums<V: F64x4, const K: usize>(
+    z: [Cx4<V>; K],
     alpha_re: &[f64],
     alpha_im: &[f64],
-    n_lanes: usize,
+    nl: usize,
     lane0: usize,
-    n_bands: usize,
-) -> Cx4<V> {
-    let step2 = step.mul(step);
-    let mut rot_e = seed; // bands 0, 2, 4, …
-    let mut rot_o = seed.mul(step); // bands 1, 3, 5, …
-    let mut acc_e = Cx4::<V>::zero();
-    let mut acc_o = Cx4::<V>::zero();
-    let pairs = n_bands / 2;
-    for p in 0..pairs {
-        let e = (2 * p) * n_lanes + lane0;
-        let o = e + n_lanes;
-        let a_e = Cx4 {
-            re: V::load(&alpha_re[e..]),
-            im: V::load(&alpha_im[e..]),
-        };
-        let a_o = Cx4 {
-            re: V::load(&alpha_re[o..]),
-            im: V::load(&alpha_im[o..]),
-        };
-        acc_e = acc_e.add(a_e.mul(rot_e));
-        acc_o = acc_o.add(a_o.mul(rot_o));
-        rot_e = rot_e.mul(step2);
-        rot_o = rot_o.mul(step2);
+) -> [Cx4<V>; K] {
+    let mut z2 = z;
+    for w in z2.iter_mut() {
+        *w = w.mul(*w);
     }
-    if n_bands % 2 == 1 {
-        let s = (n_bands - 1) * n_lanes + lane0;
-        let a = Cx4 {
-            re: V::load(&alpha_re[s..]),
-            im: V::load(&alpha_im[s..]),
-        };
-        acc_e = acc_e.add(a.mul(rot_e));
+    let pair_len = 2 * nl;
+    let paired = alpha_re.len() / pair_len * pair_len;
+    let (pairs_re, top_re) = alpha_re.split_at(paired);
+    let (pairs_im, top_im) = alpha_im.split_at(paired);
+    let mut pairs = pairs_re
+        .chunks_exact(pair_len)
+        .zip(pairs_im.chunks_exact(pair_len))
+        .rev();
+    let (mut even, mut odd) = if !top_re.is_empty() {
+        (
+            [load_row::<V>(top_re, top_im, lane0); K],
+            [Cx4::<V>::zero(); K],
+        )
+    } else if let Some((re, im)) = pairs.next() {
+        (
+            [load_row::<V>(re, im, lane0); K],
+            [load_row::<V>(&re[nl..], &im[nl..], lane0); K],
+        )
+    } else {
+        return [Cx4::<V>::zero(); K];
+    };
+    for (re, im) in pairs {
+        let (e_re, o_re) = re.split_at(nl);
+        let (e_im, o_im) = im.split_at(nl);
+        let a_e = load_row::<V>(e_re, e_im, lane0);
+        let a_o = load_row::<V>(o_re, o_im, lane0);
+        for c in 0..K {
+            even[c] = even[c].mul(z2[c]).add(a_e);
+            odd[c] = odd[c].mul(z2[c]).add(a_o);
+        }
     }
-    acc_e.add(acc_o)
+    for c in 0..K {
+        even[c] = even[c].add(z[c].mul(odd[c]));
+    }
+    even
 }
 
-/// One lane block over a general uniform comb: single rotation chain,
-/// `gaps[k]` step multiplies per band.
+/// The band sums `Σ_k α_k·z^{slot_k}` of `K` cells over a comb with
+/// holes: one Horner chain per cell walks the rows top-down, adding each
+/// row and then multiplying by `z` once per comb slot it advanced.
 #[inline(always)]
-fn gap_block<V: F64x4>(
-    seed: Cx4<V>,
-    step: Cx4<V>,
+fn gap_sums<V: F64x4, const K: usize>(
+    z: [Cx4<V>; K],
     alpha_re: &[f64],
     alpha_im: &[f64],
-    n_lanes: usize,
+    nl: usize,
     lane0: usize,
     gaps: &[u32],
-) -> Cx4<V> {
-    let mut rot = seed;
-    let mut acc = Cx4::<V>::zero();
-    for (slot, &gap) in gaps.iter().enumerate() {
-        for _ in 0..gap {
-            rot = rot.mul(step);
+) -> [Cx4<V>; K] {
+    let rows = alpha_re.chunks_exact(nl).zip(alpha_im.chunks_exact(nl));
+    let mut acc = [Cx4::<V>::zero(); K];
+    for ((re, im), &gap) in rows.zip(gaps).rev() {
+        let a = load_row::<V>(re, im, lane0);
+        for v in acc.iter_mut() {
+            *v = v.add(a);
         }
-        let s = slot * n_lanes + lane0;
-        let a = Cx4 {
-            re: V::load(&alpha_re[s..]),
-            im: V::load(&alpha_im[s..]),
-        };
-        acc = acc.add(a.mul(rot));
+        for _ in 0..gap {
+            for c in 0..K {
+                acc[c] = acc[c].mul(z[c]);
+            }
+        }
     }
     acc
+}
+
+/// The combined Eq. 17 values of cells `cell0 .. cell0 + K`. Every cell
+/// runs the same arithmetic whatever `K` is, so pairing cells never
+/// changes a bit of any result.
+#[inline(always)]
+fn cell_values<V: F64x4, const K: usize>(
+    s: &CellSweep<'_>,
+    combine: Combine,
+    cell0: usize,
+) -> [f64; K] {
+    let nl = s.n_lanes;
+    let rows = s.gaps.len() * nl;
+    let (alpha_re, alpha_im) = (&s.alpha_re[..rows], &s.alpha_im[..rows]);
+    let mut coh_re = [0.0; K];
+    let mut coh_im = [0.0; K];
+    let mut non = [0.0; K];
+    for lane0 in (0..nl).step_by(4) {
+        let mut seed = [Cx4::<V>::zero(); K];
+        let mut z = [Cx4::<V>::zero(); K];
+        for c in 0..K {
+            let at = (cell0 + c) * nl + lane0;
+            seed[c] = Cx4 {
+                re: V::load(&s.seed_re[at..]),
+                im: V::load(&s.seed_im[at..]),
+            };
+            z[c] = Cx4 {
+                re: V::load(&s.step_re[at..]),
+                im: V::load(&s.step_im[at..]),
+            };
+        }
+        let sums = if s.dense {
+            dense_sums::<V, K>(z, alpha_re, alpha_im, nl, lane0)
+        } else {
+            gap_sums::<V, K>(z, alpha_re, alpha_im, nl, lane0, s.gaps)
+        };
+        for c in 0..K {
+            let acc = seed[c].mul(sums[c]);
+            coh_re[c] += acc.re.hsum();
+            coh_im[c] += acc.im.hsum();
+            non[c] += acc.abs().hsum();
+        }
+    }
+    let mut values = [0.0; K];
+    for c in 0..K {
+        values[c] = combine_value(combine, coh_re[c], coh_im[c], non[c]);
+    }
+    values
 }
 
 #[inline(always)]
@@ -283,34 +363,14 @@ fn comb_cells_body<V: F64x4>(
     first_cell: usize,
     out: &mut [f64],
 ) {
-    let nl = s.n_lanes;
-    let nb = s.gaps.len();
-    let dense = s.gaps.first() == Some(&0) && s.gaps[1..].iter().all(|&g| g == 1);
-    for (k, v) in out.iter_mut().enumerate() {
-        let cell = first_cell + k;
-        let mut coh_re = 0.0;
-        let mut coh_im = 0.0;
-        let mut non = 0.0;
-        for lane0 in (0..nl).step_by(4) {
-            let base = cell * nl + lane0;
-            let seed = Cx4 {
-                re: V::load(&s.seed_re[base..]),
-                im: V::load(&s.seed_im[base..]),
-            };
-            let step = Cx4 {
-                re: V::load(&s.step_re[base..]),
-                im: V::load(&s.step_im[base..]),
-            };
-            let acc = if dense {
-                dense_block::<V>(seed, step, s.alpha_re, s.alpha_im, nl, lane0, nb)
-            } else {
-                gap_block::<V>(seed, step, s.alpha_re, s.alpha_im, nl, lane0, s.gaps)
-            };
-            coh_re += acc.re.hsum();
-            coh_im += acc.im.hsum();
-            non += acc.abs().hsum();
-        }
-        *v = combine_value(combine, coh_re, coh_im, non);
+    let mut pairs = out.chunks_exact_mut(2);
+    let mut cell = first_cell;
+    for pair in pairs.by_ref() {
+        pair.copy_from_slice(&cell_values::<V, 2>(s, combine, cell));
+        cell += 2;
+    }
+    if let [last] = pairs.into_remainder() {
+        *last = cell_values::<V, 1>(s, combine, cell)[0];
     }
 }
 
@@ -348,6 +408,11 @@ pub fn write_comb_cells_at(
     );
     let alpha_needed = s.gaps.len() * s.n_lanes;
     assert!(s.alpha_re.len() >= alpha_needed && s.alpha_im.len() >= alpha_needed);
+    debug_assert_eq!(
+        s.dense,
+        gaps_are_dense(s.gaps),
+        "dense flag disagrees with gaps"
+    );
     match level {
         SimdLevel::Scalar => comb_cells_scalar(s, combine, first_cell, out),
         #[cfg(target_arch = "x86_64")]
@@ -359,9 +424,10 @@ pub fn write_comb_cells_at(
     }
 }
 
-/// Evaluates the Eq. 17 recurrence for cells `first_cell ..
-/// first_cell + out.len()` of one anchor map, writing each cell's
-/// combined likelihood value. Lanes are antenna rotation chains; the
+/// Evaluates Eq. 17 for cells `first_cell .. first_cell + out.len()` of
+/// one anchor map, writing each cell's combined likelihood value. Lanes
+/// are antennas, each summing its bands by Horner's rule in the comb
+/// step; a cell's value never depends on how the range is split. The
 /// vector path is chosen once per call via [`simd::active_level`].
 pub fn write_comb_cells(s: &CellSweep<'_>, combine: Combine, first_cell: usize, out: &mut [f64]) {
     write_comb_cells_at(simd::active_level(), s, combine, first_cell, out);
@@ -762,26 +828,55 @@ mod tests {
     }
 
     /// A randomized likelihood fixture: `cells` cells × `n_ant` antennas
-    /// over the BLE comb, with the reference value computed per cell by
-    /// naive per-band `cis`.
+    /// over a subset of the BLE comb, with the reference value computed
+    /// per cell by naive per-band `cis`.
     struct Fixture {
         sweep_tables: (Vec<f64>, Vec<f64>, Vec<f64>, Vec<f64>),
         alpha: (Vec<f64>, Vec<f64>),
         n_lanes: usize,
         n_ant: usize,
         gaps: Vec<u32>,
+        /// The alpha row of each surviving band.
+        rows: Vec<usize>,
         freqs: Vec<f64>,
         deltas: Vec<f64>,
-        base_hz: f64,
-        step_hz: f64,
     }
 
+    /// A fixture on the gapless comb of `nb` bands.
     fn fixture(seed: u64, cells: usize, n_ant: usize, nb: usize) -> Fixture {
+        let slots: Vec<u32> = (0..nb as u32).collect();
+        fixture_on(seed, cells, n_ant, &slots, true)
+    }
+
+    /// A fixture whose bands survive at the ascending comb `slots`. Alpha
+    /// rows are laid out either one per slot of the span, zero at the
+    /// holes (`slot_rows`, the slot-dense layout), or one per surviving
+    /// band (the gap layout).
+    fn fixture_on(
+        seed: u64,
+        cells: usize,
+        n_ant: usize,
+        slots: &[u32],
+        slot_rows: bool,
+    ) -> Fixture {
         let n_lanes = n_ant.div_ceil(4) * 4;
         let base_hz = 2.402e9;
         let step_hz = 2e6;
-        let freqs: Vec<f64> = (0..nb).map(|k| base_hz + step_hz * k as f64).collect();
-        let gaps: Vec<u32> = (0..nb).map(|k| u32::from(k > 0)).collect();
+        let freqs: Vec<f64> = slots
+            .iter()
+            .map(|&n| base_hz + step_hz * f64::from(n))
+            .collect();
+        let (gaps, rows): (Vec<u32>, Vec<usize>) = if slot_rows {
+            let span = slots.last().map_or(0, |&n| n + 1);
+            let gaps = (0..span).map(|r| u32::from(r > 0)).collect();
+            (gaps, slots.iter().map(|&n| n as usize).collect())
+        } else {
+            let gaps = slots
+                .iter()
+                .scan(0, |prev, &n| Some(n - std::mem::replace(prev, n)))
+                .collect();
+            (gaps, (0..slots.len()).collect())
+        };
         let tau_over_c = std::f64::consts::TAU / 299_792_458.0;
         let mut deltas = vec![0.0; cells * n_lanes];
         let (mut sre, mut sim) = (vec![1.0; cells * n_lanes], vec![0.0; cells * n_lanes]);
@@ -799,12 +894,12 @@ mod tests {
                 tim[k] = step_p.im;
             }
         }
-        let mut are = vec![0.0; nb * n_lanes];
-        let mut aim = vec![0.0; nb * n_lanes];
-        for s in 0..nb {
+        let mut are = vec![0.0; gaps.len() * n_lanes];
+        let mut aim = vec![0.0; gaps.len() * n_lanes];
+        for (s, &row) in rows.iter().enumerate() {
             for j in 0..n_ant {
-                are[s * n_lanes + j] = rand_unit(seed ^ (s * 977 + j + 3) as u64) * 2.0 - 1.0;
-                aim[s * n_lanes + j] = rand_unit(seed ^ (s * 977 + j + 71) as u64) * 2.0 - 1.0;
+                are[row * n_lanes + j] = rand_unit(seed ^ (s * 977 + j + 3) as u64) * 2.0 - 1.0;
+                aim[row * n_lanes + j] = rand_unit(seed ^ (s * 977 + j + 71) as u64) * 2.0 - 1.0;
             }
         }
         Fixture {
@@ -813,11 +908,19 @@ mod tests {
             n_lanes,
             n_ant,
             gaps,
+            rows,
             freqs,
             deltas,
-            base_hz,
-            step_hz,
         }
+    }
+
+    /// `nb` ascending comb slots, one drawn from each run of three, so
+    /// holes of up to four slots separate survivors and the first band
+    /// may sit above slot 0. Too sparse for the slot-dense layout.
+    fn sparse_slots(seed: u64, nb: usize) -> Vec<u32> {
+        (0..nb as u32)
+            .map(|k| 3 * k + (mix(seed ^ u64::from(k)) % 3) as u32)
+            .collect()
     }
 
     impl Fixture {
@@ -831,6 +934,7 @@ mod tests {
                 alpha_im: &self.alpha.1,
                 n_lanes: self.n_lanes,
                 gaps: &self.gaps,
+                dense: gaps_are_dense(&self.gaps),
             }
         }
 
@@ -842,10 +946,10 @@ mod tests {
             for j in 0..self.n_ant {
                 let d = self.deltas[cell * self.n_lanes + j];
                 let mut acc = complex::ZERO;
-                for (s, &f) in self.freqs.iter().enumerate() {
+                for (&row, &f) in self.rows.iter().zip(&self.freqs) {
                     let a = C64::new(
-                        self.alpha.0[s * self.n_lanes + j],
-                        self.alpha.1[s * self.n_lanes + j],
+                        self.alpha.0[row * self.n_lanes + j],
+                        self.alpha.1[row * self.n_lanes + j],
                     );
                     acc += a * C64::cis(tau_over_c * d * f);
                 }
@@ -910,6 +1014,101 @@ mod tests {
     }
 
     #[test]
+    fn horner_sums_match_per_band_cis_for_every_band_count() {
+        // Odd counts leave the dense walk's top row unpaired; sparse
+        // survivor masks run the gap walk, or the dense walk over zero
+        // rows when laid out per slot.
+        for nb in [1, 2, 3, 37, 38] {
+            let sparse = sparse_slots(nb as u64, nb);
+            let layouts = [
+                ((0..nb as u32).collect::<Vec<_>>(), true),
+                (sparse.clone(), false),
+                (sparse, true),
+            ];
+            for (slots, slot_rows) in layouts {
+                for n_ant in [4, 6] {
+                    let fx = fixture_on(nb as u64 * 5 + 3, 9, n_ant, &slots, slot_rows);
+                    if !slot_rows && nb > 1 {
+                        assert!(!fx.cell_sweep().dense, "mask {slots:?} must walk gaps");
+                    }
+                    for level in levels_to_test() {
+                        for combine in [Combine::Coherent, Combine::Hybrid] {
+                            let mut out = vec![0.0; 9];
+                            write_comb_cells_at(level, &fx.cell_sweep(), combine, 0, &mut out);
+                            for (cell, &got) in out.iter().enumerate() {
+                                let want = fx.reference(combine, cell);
+                                assert!(
+                                    (got - want).abs() <= 1e-9 * want.abs().max(1.0),
+                                    "{nb} bands {slots:?} rows {slot_rows} n_ant {n_ant} \
+                                     cell {cell} {combine:?} {level:?}: {got} vs {want}"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn any_split_of_a_cell_range_is_bit_identical() {
+        // The kernel evaluates cells in pairs; a cell's value must not
+        // depend on its partner, on its parity or on where a call starts,
+        // because window maps rely on being the dense map restricted.
+        const CELLS: usize = 41;
+        let sparse = sparse_slots(7, 20);
+        for (n_ant, slots, slot_rows) in [
+            (4, (0..37).collect::<Vec<u32>>(), true),
+            (8, (0..37).collect(), true),
+            (4, sparse.clone(), false),
+            (7, sparse, false),
+        ] {
+            let fx = fixture_on(n_ant as u64, CELLS, n_ant, &slots, slot_rows);
+            let sweep = fx.cell_sweep();
+            for level in levels_to_test() {
+                let bits = |first: usize, len: usize| -> Vec<u64> {
+                    let mut out = vec![0.0; len];
+                    write_comb_cells_at(level, &sweep, Combine::Hybrid, first, &mut out);
+                    out.iter().map(|v| v.to_bits()).collect()
+                };
+                for draw in 0..32u64 {
+                    let h = mix(draw ^ (n_ant as u64) << 32);
+                    let mut first = (h % CELLS as u64) as usize;
+                    let mut len = 1 + ((h >> 16) % (CELLS - first) as u64) as usize;
+                    // Half the draws force an odd start, half an odd length.
+                    if draw % 2 == 0 && first % 2 == 0 && first + len < CELLS {
+                        first += 1;
+                    }
+                    if draw % 2 == 1 && len % 2 == 0 {
+                        len -= 1;
+                    }
+                    let whole = bits(first, len);
+                    let per_cell: Vec<u64> =
+                        (first..first + len).flat_map(|c| bits(c, 1)).collect();
+                    assert_eq!(
+                        whole, per_cell,
+                        "{level:?} n_ant {n_ant} range {first}+{len}"
+                    );
+                    let mut split = Vec::with_capacity(len);
+                    let mut at = first;
+                    let mut cut = h;
+                    while at < first + len {
+                        cut = mix(cut);
+                        let piece = 1 + (cut % 5) as usize;
+                        let piece = piece.min(first + len - at);
+                        split.extend(bits(at, piece));
+                        at += piece;
+                    }
+                    assert_eq!(
+                        whole, split,
+                        "{level:?} n_ant {n_ant} sub-split of {first}+{len}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
     fn offcomb_cells_match_reference() {
         let fx = fixture(31, 20, 4, 15);
         let off = OffCombSweep {
@@ -929,7 +1128,6 @@ mod tests {
                 "cell {cell}: {got} vs {want}"
             );
         }
-        let _ = fx.base_hz + fx.step_hz; // fields exercised elsewhere
     }
 
     fn tone_reference(
